@@ -350,6 +350,7 @@ class Engine:
         self.digest = digest
         self.report_timeout = report_timeout
         self.progress: list[str] = []
+        self._tool_auth: dict[str, Authentication] = {}
 
     # --- bundle sources -------------------------------------------------------
 
@@ -375,10 +376,13 @@ class Engine:
     # --- tool plumbing ----------------------------------------------------------
 
     def _tool_bundle(self, entry: str, datums: list[Datum]) -> Bundle:
-        unsigned = Bundle(auth=Authentication("", ""),
-                          code=CodeSection(entry, "builtin"),
-                          data=tuple(datums))
-        return sign_bundle(unsigned, self._key, self.entity)
+        # Each tool kind is signed once: the signature covers only CODE.
+        code = CodeSection(entry, "builtin")
+        if entry not in self._tool_auth:
+            self._tool_auth[entry] = sign_bundle(
+                Bundle(Authentication("", ""), code), self._key,
+                self.entity).auth
+        return Bundle(self._tool_auth[entry], code, tuple(datums))
 
     def _fire_tool(self, address: str, tool: Bundle) -> TaskReport:
         handle = remote.fire(address, serialize_bundle(tool))
@@ -397,10 +401,10 @@ class Engine:
                parallel_wire: bool = True) -> DeploymentRecord:
         """Run the three phases; raises PhaseFailed with the partial record."""
         record = self._new_record(ddd)
-        self._install_phase(ddd, record)
+        self._install_phase(record)
         if phase_hook:
             phase_hook(PHASE_INSTALL, record)
-        self._run_phase(ddd, record)
+        self._run_phase(record)
         if phase_hook:
             phase_hook(PHASE_RUN, record)
         self._wire_phase(record, list(record.connections.values()),
@@ -428,8 +432,7 @@ class Engine:
             by_host.setdefault(dep.host, []).append(dep)
         return by_host
 
-    def _install_phase(self, ddd_or_record, record: DeploymentRecord,
-                       names=None) -> None:
+    def _install_phase(self, record: DeploymentRecord, names=None) -> None:
         for host_id, deps in sorted(
                 self._deployments_by_host(record, names).items()):
             address = record.hosts[host_id]
@@ -465,8 +468,7 @@ class Engine:
                                   record) from exc
             self._note(PHASE_INSTALL, host_id, True)
 
-    def _run_phase(self, ddd_or_record, record: DeploymentRecord,
-                   names=None) -> None:
+    def _run_phase(self, record: DeploymentRecord, names=None) -> None:
         for host_id, deps in sorted(
                 self._deployments_by_host(record, names).items()):
             address = record.hosts[host_id]
@@ -622,10 +624,10 @@ class Engine:
         dep.host = new_host
         dep.state = STATE_INSTALLED
 
-        self._install_phase(None, record, names={name})
+        self._install_phase(record, names={name})
         if phase_hook:
             phase_hook(PHASE_INSTALL, record)
-        self._run_phase(None, record, names={name})
+        self._run_phase(record, names={name})
         record.refresh_states()
         if phase_hook:
             phase_hook(PHASE_RUN, record)

@@ -31,6 +31,7 @@ from .channels import (
     close_listener,
     recv_frame,
     send_frame,
+    serve_connections,
 )
 from .documents import (
     STATUS_FAILED,
@@ -191,7 +192,7 @@ class Machine:
         self._machine_listener: socket.socket | None = None
         self._resource_listener: socket.socket | None = None
         self.connector: Connector | None = None
-        self._lock = threading.Lock()
+        self._terminating = threading.Lock()  # held once terminate begins
 
     # --- lifecycle ---------------------------------------------------------
 
@@ -203,8 +204,10 @@ class Machine:
             self._machine_listener.getsockname()[1],
             self._resource_listener.getsockname()[1],
         )
-        threading.Thread(target=self._accept_control, daemon=True).start()
-        threading.Thread(target=self._accept_resource, daemon=True).start()
+        # bound before the behaviour can run, and so before it can end
+        self.node.register_machine(self)
+        serve_connections(self._machine_listener, self._serve_control)
+        serve_connections(self._resource_listener, self._serve_resource)
         threading.Thread(target=self._run_executor, daemon=True).start()
 
     def _listen(self) -> socket.socket:
@@ -224,27 +227,17 @@ class Machine:
             self.terminate()
 
     def terminate(self) -> None:
-        with self._lock:
-            if self.state == TERMINATED:
-                return
-            self.state = TERMINATED
+        if not self._terminating.acquire(blocking=False):
+            return
         close_listener(self._machine_listener)
         close_listener(self._resource_listener)
         self.cm.shutdown()
         self.default_endpoint.close()
         self.progenitor_endpoint.close()
         self.node.unregister_machine(self)
+        self.state = TERMINATED
 
     # --- machine channel (control) ------------------------------------------
-
-    def _accept_control(self) -> None:
-        while True:
-            try:
-                sock, _ = self._machine_listener.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._serve_control, args=(sock,),
-                             daemon=True).start()
 
     def _serve_control(self, sock: socket.socket) -> None:
         with sock:
@@ -317,18 +310,9 @@ class Machine:
 
     # --- resource port ---------------------------------------------------------
 
-    def _accept_resource(self) -> None:
+    def _serve_resource(self, sock: socket.socket) -> None:
         # Data connections may also arrive here; the first frame names the
         # LISTENING channel the peer wants to attach to.
-        while True:
-            try:
-                sock, _ = self._resource_listener.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._serve_resource, args=(sock,),
-                             daemon=True).start()
-
-    def _serve_resource(self, sock: socket.socket) -> None:
         try:
             sock.settimeout(self.node.connect_timeout)
             frame = recv_frame(sock, self.node.max_frame)
@@ -352,7 +336,6 @@ def spawn_machine(node, b: Bundle) -> tuple[Machine, ChannelEndpoint]:
     """
     behavior = node.executors.resolve(b)
     machine = Machine(node, b, behavior)
-    node.register_machine(machine)
     machine.start()
     return machine, machine.progenitor_endpoint
 

@@ -3,12 +3,14 @@
 One daemon per (address, fire port). The fire daemon accepts framed
 requests: a BUNDLE document is authenticated and fired, the connection
 then carrying the new machine's default channel; a STATUSREQUEST returns
-a status snapshot. Store, binders and VER persist under the node's data
-directory and survive restarts.
+a status snapshot. Only the store, the service binder (sbinder) and the
+VER persist under the node's data directory and survive restarts; the
+process binder (pbinder) names live machines and stays in memory.
 """
 
 from __future__ import annotations
 
+import base64
 import errno
 import fcntl
 import os
@@ -17,7 +19,7 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import xmlcanon
+from . import remote, xmlcanon
 from .bundle import Bundle, parse_bundle
 from .channels import (
     DEFAULT_CONNECT_TIMEOUT,
@@ -25,6 +27,7 @@ from .channels import (
     close_listener,
     recv_frame,
     send_frame,
+    serve_connections,
 )
 from .errors import (
     BadSignature,
@@ -45,9 +48,9 @@ from .security import (
     EntityRecord,
     Right,
     Service,
+    SignatureMemo,
     format_rights,
     parse_rights,
-    verify_bundle,
 )
 from .store import Binder, Store
 from .xmlcanon import element
@@ -141,9 +144,10 @@ class ThinServer:
         except SchemaViolation as exc:
             raise CorruptState(str(exc)) from exc
         self._binder_path = data_dir / "binders.doc"
-        self.sbinder = Binder(on_change=self._persist_binders)
-        self.pbinder = Binder(on_change=self._persist_binders)
+        self.sbinder = Binder(on_change=self._persist_sbinder)
+        self.pbinder = Binder()
         self.ver = VER(data_dir / "ver.doc")
+        self._signatures = SignatureMemo()
         if config.admin_entity and config.admin_entity not in self.ver:
             self.ver.add(EntityRecord(config.admin_entity,
                                       config.admin_certificate,
@@ -178,7 +182,7 @@ class ThinServer:
         listener.listen(64)
         self._listener = listener
         self.fire_port = listener.getsockname()[1]
-        threading.Thread(target=self._accept_loop, daemon=True).start()
+        serve_connections(listener, self._serve_fire)
 
     @property
     def address(self) -> str:
@@ -214,22 +218,19 @@ class ThinServer:
     def register_machine(self, m: Machine) -> None:
         with self._machines_lock:
             self._machines[m.machine_id.hex] = m
+            self.pbinder.put(m.machine_id.hex, str(m.connector))
 
     def unregister_machine(self, m: Machine) -> None:
         with self._machines_lock:
             self._machines.pop(m.machine_id.hex, None)
-        try:
-            self.pbinder.remove(m.machine_id.hex)
-        except NotBound:
-            pass
+            try:
+                self.pbinder.remove(m.machine_id.hex)
+            except NotBound:
+                pass
 
     def machines(self) -> list[Machine]:
         with self._machines_lock:
             return list(self._machines.values())
-
-    def find_machine(self, machine_id: Guid) -> Machine | None:
-        with self._machines_lock:
-            return self._machines.get(machine_id.hex)
 
     # --- firing ---------------------------------------------------------------
 
@@ -241,14 +242,9 @@ class ThinServer:
         state changes. Returns (machine, progenitor default endpoint).
         """
         b = parse_bundle(doc)
-        try:
-            record = self.ver.lookup(b.auth.entity)
-        except EntityNotFound:
-            raise UnknownEntity(b.auth.entity) from None
-        if not verify_bundle(b, record.certificate):
-            raise BadSignature(f"signature of {b.auth.entity} does not verify")
+        self._authenticate(b)
         self.ver.require(b.auth.entity, Service.FIRE, Right.FIRE)
-        return self._spawn(b)
+        return spawn_machine(self, b)
 
     def spawn_verified(self, b: Bundle):
         """Spawn a bundle fired locally by an already-authorized machine.
@@ -257,73 +253,59 @@ class ThinServer:
         valid, since that entity becomes the new machine's capability
         context.
         """
+        self._authenticate(b)
+        return spawn_machine(self, b)
+
+    def _authenticate(self, b: Bundle) -> None:
+        # VER lookup first: a removed or re-keyed entity never hits the memo
         try:
             record = self.ver.lookup(b.auth.entity)
         except EntityNotFound:
             raise UnknownEntity(b.auth.entity) from None
-        if not verify_bundle(b, record.certificate):
+        if not self._signatures.verify(b, record.certificate):
             raise BadSignature(f"signature of {b.auth.entity} does not verify")
-        return self._spawn(b)
-
-    def _spawn(self, b: Bundle):
-        machine, progenitor_end = spawn_machine(self, b)
-        self.pbinder.put(machine.machine_id.hex, str(machine.connector))
-        return machine, progenitor_end
 
     # --- fire daemon -------------------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._serve_fire, args=(sock,),
-                             daemon=True).start()
 
     def _serve_fire(self, sock: socket.socket) -> None:
         try:
             frame = recv_frame(sock, self.max_frame)
         except (OSError, CingalError):
-            sock.close()
-            return
+            frame = None
         if frame is None:
             sock.close()
             return
 
-        tag = _peek_root_tag(frame)
-        if tag == "STATUSREQUEST":
-            try:
-                send_frame(sock, self.status_bytes(), self.max_frame)
-            except OSError:
-                pass
+        if _peek_root_tag(frame) == "STATUSREQUEST":
+            self._reply(sock, self.status_bytes())
             sock.close()
             return
 
         try:
             machine, progenitor_end = self.fire(frame)
         except CingalError as exc:
-            resp = element("FIRERESULT", {"status": "ERROR", "error": exc.code},
-                           text=str(exc))
-            try:
-                send_frame(sock, xmlcanon.canonical_bytes(resp), self.max_frame)
-            except OSError:
-                pass
+            self._reply(sock, xmlcanon.canonical_bytes(element(
+                "FIRERESULT", {"status": "ERROR", "error": exc.code},
+                text=str(exc))))
             sock.close()
             return
 
-        resp = element("FIRERESULT", {"status": "OK"},
-                       children=[element("CONNECTOR",
-                                         machine.connector.attrib())])
-        try:
-            send_frame(sock, xmlcanon.canonical_bytes(resp), self.max_frame)
-        except OSError:
+        if not self._reply(sock, xmlcanon.canonical_bytes(element(
+                "FIRERESULT", {"status": "OK"},
+                children=[element("CONNECTOR", machine.connector.attrib())]))):
             sock.close()
             return
         # The open fire connection now carries the default channel.
         threading.Thread(target=self._pump_out, args=(sock, progenitor_end),
                          daemon=True).start()
         self._pump_in(sock, progenitor_end)
+
+    def _reply(self, sock: socket.socket, doc: bytes) -> bool:
+        try:
+            send_frame(sock, doc, self.max_frame)
+            return True
+        except OSError:
+            return False
 
     def _pump_out(self, sock, progenitor_end) -> None:
         while True:
@@ -378,30 +360,20 @@ class ThinServer:
 
     # --- binder persistence --------------------------------------------------------
 
-    def _persist_binders(self) -> None:
-        def binder_el(name: str, binder: Binder):
-            bindings = [element("BINDING",
-                                {"name": n, "value": str(binder.get(n))})
-                        for n in binder.names()]
-            return element("BINDER", {"name": name}, children=bindings)
-
-        doc = xmlcanon.canonical_bytes(element("BINDERS", children=[
-            binder_el("sbinder", self.sbinder),
-            binder_el("pbinder", self.pbinder),
-        ]))
-        self._binder_path.write_bytes(doc)
+    def _persist_sbinder(self, bindings: dict) -> None:
+        sbinder = element("BINDER", {"name": "sbinder"}, children=[
+            element("BINDING", {"name": n, "value": str(v)})
+            for n, v in sorted(bindings.items())])
+        self._binder_path.write_bytes(
+            xmlcanon.canonical_bytes(element("BINDERS", children=[sbinder])))
 
     def _load_binders(self) -> None:
         if not self._binder_path.exists():
             return
         root = xmlcanon.parse_document(self._binder_path.read_bytes())
-        for binder_el in root.findall("BINDER"):
-            # pbinder entries name machines, which never survive a restart
-            if binder_el.get("name") != "sbinder":
-                continue
-            for binding in binder_el.findall("BINDING"):
-                self.sbinder.put(binding.get("name", ""),
-                                 Guid(binding.get("value", "")))
+        for binding in root.findall("BINDER[@name='sbinder']/BINDING"):
+            self.sbinder.put(binding.get("name", ""),
+                             Guid(binding.get("value", "")))
 
 
 def _peek_root_tag(frame: bytes) -> str:
@@ -415,9 +387,6 @@ def write_default(connector, payload: bytes,
                   max_frame: int = DEFAULT_MAX_FRAME) -> None:
     """Inject a message into a machine's default channel via its machine
     channel (WRITE_DEFAULT control op)."""
-    import base64
-
-    from . import remote
     remote.control_request(connector.host, connector.machine_port,
                            "WRITE_DEFAULT",
                            text=base64.b64encode(payload).decode("ascii"),
@@ -427,9 +396,6 @@ def write_default(connector, payload: bytes,
 def read_default(connector, timeout: float = 5.0,
                  max_frame: int = DEFAULT_MAX_FRAME) -> bytes:
     """Pop one message from a machine's outbound default channel."""
-    import base64
-
-    from . import remote
     resp = remote.control_request(connector.host, connector.machine_port,
                                   "READ_DEFAULT",
                                   {"timeout": str(timeout)},

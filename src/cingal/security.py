@@ -6,7 +6,9 @@ mediated store/binder/VER operation is then gated on the (service,
 right) capabilities recorded for the machine's signing entity.
 
 The signature covers the canonical bytes of the CODE section only; the
-payload is deliberately outside the signed body.
+payload is deliberately outside the signed body. A node memoises checks
+in a fixed-size ``SignatureMemo`` keyed on (certificate, CODE bytes,
+signature). It stores successes only: a forged bundle pays every time.
 """
 
 from __future__ import annotations
@@ -137,6 +139,30 @@ def verify_bundle(b: Bundle, certificate_pem: str) -> bool:
         return False
 
 
+class SignatureMemo:
+    """verify_bundle behind a memo of the last ``size`` checks that passed."""
+
+    def __init__(self, size: int = 256):
+        self.size = size
+        self._passed: dict[tuple[str, bytes, str], None] = {}
+        self._lock = threading.Lock()
+
+    def verify(self, b: Bundle, certificate_pem: str) -> bool:
+        key = (certificate_pem, code_section_bytes(b), b.auth.signature)
+        if key in self._passed:
+            return True
+        if not verify_bundle(b, certificate_pem):
+            return False
+        with self._lock:
+            self._passed[key] = None
+            if len(self._passed) > self.size:
+                del self._passed[next(iter(self._passed))]
+        return True
+
+    def __len__(self) -> int:
+        return len(self._passed)
+
+
 # --- the Valid Entity Repository ---------------------------------------
 
 class EntityRecord:
@@ -156,7 +182,6 @@ class VER:
         self._path = Path(path) if path is not None else None
         self._records: dict[str, EntityRecord] = {}
         self._lock = threading.Lock()
-        self.audit: list[tuple[str, Service, Right, bool]] = []
         if self._path is not None and self._path.exists():
             self._load()
 
@@ -194,10 +219,8 @@ class VER:
     def check(self, entity: str, service: Service, right: Right) -> bool:
         """Capability check; unknown entities are denied, never an error."""
         rec = self._records.get(entity)
-        allowed = rec is not None and (
+        return rec is not None and (
             (service, right) in rec.rights or (service, Right.ADMIN) in rec.rights)
-        self.audit.append((entity, service, right, allowed))
-        return allowed
 
     def require(self, entity: str, service: Service, right: Right) -> None:
         if not self.check(entity, service, right):

@@ -3,8 +3,8 @@
 The store maps digest keys to canonical bundle bytes and never updates
 an existing entry; where update semantics are needed, the binders
 provide them by rebinding symbolic names. Entries persist as one file
-per key under ``<data-dir>/store/``; binder snapshots live in a single
-``binders.doc`` document owned by the node.
+per key under ``<data-dir>/store/``. Binders live in memory; the node
+persists only the service binder (sbinder), in ``binders.doc``.
 """
 
 from __future__ import annotations
@@ -73,9 +73,12 @@ class Store:
 
 
 class Binder:
-    """Symbolic name -> value map with put/get/remove; rebind replaces."""
+    """Symbolic name -> value map with put/get/remove; rebind replaces.
 
-    def __init__(self, on_change=None):
+    ``on_change(bindings)`` runs after each change, under the binder's lock.
+    """
+
+    def __init__(self, on_change=lambda bindings: None):
         self._bindings: dict[str, object] = {}
         self._lock = threading.Lock()
         self._on_change = on_change
@@ -84,9 +87,10 @@ class Binder:
         if not name:
             raise SchemaViolation("binder names must be non-empty")
         with self._lock:
+            if name in self._bindings and self._bindings[name] == value:
+                return
             self._bindings[name] = value
-        if self._on_change:
-            self._on_change()
+            self._on_change(self._bindings)
 
     def get(self, name: str):
         with self._lock:
@@ -100,8 +104,7 @@ class Binder:
             if name not in self._bindings:
                 raise NotBound(name)
             del self._bindings[name]
-        if self._on_change:
-            self._on_change()
+            self._on_change(self._bindings)
 
     def names(self) -> list[str]:
         with self._lock:

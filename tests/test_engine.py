@@ -1,5 +1,6 @@
 import pytest
 
+from cingal import engine as engine_module
 from cingal.channels import Connector
 from cingal.engine import (
     CONNECTED,
@@ -14,6 +15,7 @@ from cingal.engine import (
 )
 from cingal.errors import DanglingReference, PhaseFailed, SchemaViolation
 from cingal.harness import harness_spawn, observed_channel_state
+from cingal.machine import ENTRY_INSTALLER, ENTRY_RUNNER, ENTRY_WIRER
 from cingal.xmlcanon import canonical
 from conftest import SAMPLES
 
@@ -183,6 +185,22 @@ class TestDeploy:
         phases = [line.split()[0] for line in engine.progress]
         assert phases == ["phase:install", "phase:install",
                           "phase:run", "phase:run", "phase:wire"]
+
+    def test_each_tool_kind_signed_once(self, topology, monkeypatch):
+        signed = []
+        real_sign = engine_module.sign_bundle
+
+        def counted(b, key, entity):
+            signed.append(b.code.entry)
+            return real_sign(b, key, entity)
+
+        monkeypatch.setattr(engine_module, "sign_bundle", counted)
+        engine = topology.engine()
+        for _ in range(2):
+            record = engine.deploy(two_node_ddd(topology))
+            assert record.deployment_state("CachingServer") == "wired"
+        assert sorted(signed) == sorted([ENTRY_INSTALLER, ENTRY_RUNNER,
+                                         ENTRY_WIRER])
 
     def test_zero_connection_ddd_ends_running(self, topology):
         engine = topology.engine()

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from cingal import remote, xmlcanon
@@ -127,6 +129,21 @@ class TestMachineLifecycle:
         assert wait_for(lambda: machine.state == TERMINATED)
         assert machine not in node.machines()
 
+    def test_terminated_state_follows_unregister(self, node, keypair,
+                                                 monkeypatch):
+        real_unregister = node.unregister_machine
+
+        def slow_unregister(m):
+            time.sleep(0.2)
+            real_unregister(m)
+
+        monkeypatch.setattr(node, "unregister_machine", slow_unregister)
+        machine, _ = fire_local(node, make_signed(keypair[0], "tester"))
+        c = machine.connector
+        remote.control_request(c.host, c.machine_port, "TERMINATE")
+        assert wait_for(lambda: machine.state == TERMINATED)
+        assert machine not in node.machines()
+
     def test_terminated_machine_refuses_control(self, node, keypair):
         machine, _ = fire_local(node, make_signed(keypair[0], "tester"))
         c = machine.connector
@@ -153,6 +170,23 @@ class TestMachineLifecycle:
         finally:
             machine.terminate()
         assert machine.machine_id.hex not in node.pbinder.names()
+
+    def test_machine_that_ends_at_once_leaves_pbinder_empty(
+            self, node, keypair, monkeypatch):
+        node.executors.register("test.Quick", lambda b, api: None)
+        real_put = node.pbinder.put
+
+        def slow_put(name, value):
+            time.sleep(0.2)
+            real_put(name, value)
+
+        monkeypatch.setattr(node.pbinder, "put", slow_put)
+        machine, _ = fire_local(node, make_signed(keypair[0], "tester",
+                                                  entry="test.Quick"))
+        assert wait_for(lambda: machine.state == TERMINATED)
+        time.sleep(0.3)
+        assert node.machines() == []
+        assert node.pbinder.names() == []
 
     def test_cohosted_machines_are_isolated(self, node, keypair):
         m1, p1 = fire_local(node, make_signed(keypair[0], "tester"))

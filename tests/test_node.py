@@ -1,6 +1,10 @@
+import threading
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
-from cingal import remote
+from cingal import remote, security, xmlcanon
 from cingal.bundle import serialize_bundle
 from cingal.errors import (
     BadSignature,
@@ -12,7 +16,7 @@ from cingal.errors import (
 )
 from cingal.node import NodeConfig, ThinServer, read_default, write_default
 from cingal.security import ALL_RIGHTS, EntityRecord, parse_rights
-from conftest import make_bundle, make_signed
+from conftest import make_bundle, make_signed, wait_for
 
 
 def config_for(tmp_path, keypair, **overrides):
@@ -75,6 +79,72 @@ class TestFireGate:
                                   ALL_RIGHTS))
         with pytest.raises(BadSignature):
             node.fire(serialize_bundle(make_bundle()))
+
+
+class TestSignatureMemo:
+    """Accepted fires are memoised; nothing else gets past the gate."""
+
+    @pytest.fixture
+    def verifications(self, monkeypatch):
+        calls = []
+        real = security.verify_bundle
+
+        def counted(b, certificate_pem):
+            calls.append(b.auth.entity)
+            return real(b, certificate_pem)
+
+        monkeypatch.setattr(security, "verify_bundle", counted)
+        return calls
+
+    def test_repeated_accepted_fire_verifies_once(self, node, keypair,
+                                                  verifications):
+        doc = serialize_bundle(make_signed(keypair[0], "tester"))
+        for _ in range(3):
+            machine, _ = node.fire(doc)
+            machine.terminate()
+        assert verifications == ["tester"]
+
+    def test_changed_code_under_accepted_signature_refused(self, node,
+                                                           keypair):
+        b = make_signed(keypair[0], "tester")
+        machine, _ = node.fire(serialize_bundle(b))
+        machine.terminate()
+        for code in (replace(b.code, units=(("unit", "b3RoZXI="),)),
+                     replace(b.code, entry="demo.Sink")):
+            with pytest.raises(BadSignature):
+                node.fire(serialize_bundle(replace(b, code=code)))
+        assert node.machines() == []
+
+    def test_forged_fire_refused_every_time(self, node, second_keypair,
+                                            verifications):
+        doc = serialize_bundle(make_signed(second_keypair[0], "tester"))
+        for _ in range(3):
+            with pytest.raises(BadSignature):
+                node.fire(doc)
+        # each refusal paid the full check: failures are never memoised
+        assert verifications == ["tester"] * 3
+        assert node.machines() == []
+
+    def test_removed_entity_refused_after_acceptance(self, node, keypair):
+        doc = serialize_bundle(make_signed(keypair[0], "tester"))
+        machine, _ = node.fire(doc)
+        machine.terminate()
+        node.ver.remove("tester")
+        with pytest.raises(UnknownEntity):
+            node.fire(doc)
+        assert node.machines() == []
+
+    def test_rekeyed_entity_refused_after_acceptance(self, node, keypair,
+                                                     second_keypair):
+        doc = serialize_bundle(make_signed(keypair[0], "tester"))
+        machine, _ = node.fire(doc)
+        machine.terminate()
+        node.ver.remove("tester")
+        node.ver.add(EntityRecord("tester", second_keypair[1],
+                                  parse_rights("FIRE:FIRE")))
+        with pytest.raises(BadSignature):
+            node.fire(doc)
+        assert node.machines() == []
 
 
 class TestFireDaemon:
@@ -144,6 +214,78 @@ class TestPersistence:
             assert reborn.pbinder.names() == []
         finally:
             reborn.stop()
+
+    def test_fire_and_terminate_leave_binders_doc_untouched(self, node,
+                                                            keypair):
+        binders_doc = Path(node.config.data_dir) / "binders.doc"
+        doc = serialize_bundle(make_signed(keypair[0], "tester"))
+        machine, _ = node.fire(doc)
+        c = machine.connector
+        remote.control_request(c.host, c.machine_port, "TERMINATE")
+        assert wait_for(lambda: node.machines() == [])
+        # nothing but the sbinder is persisted, and it did not change
+        assert not binders_doc.exists()
+
+        node.sbinder.put("Server", node.store.put(make_bundle()))
+        before = binders_doc.read_bytes()
+        machine, _ = node.fire(doc)
+        assert binders_doc.read_bytes() == before
+        c = machine.connector
+        remote.control_request(c.host, c.machine_port, "TERMINATE")
+        assert wait_for(lambda: node.machines() == [])
+        assert binders_doc.read_bytes() == before
+        root = xmlcanon.parse_document(before)
+        assert [b.get("name") for b in root.findall("BINDER")] == ["sbinder"]
+
+    def test_rebinding_the_same_value_writes_nothing(self, node):
+        binders_doc = Path(node.config.data_dir) / "binders.doc"
+        key = node.store.put(make_bundle())
+        node.sbinder.put("Server", key)
+        binders_doc.unlink()
+        node.sbinder.put("Server", key)
+        assert not binders_doc.exists()
+
+    def test_concurrent_sbinder_put_and_remove(self, node, monkeypatch):
+        key = node.store.put(make_bundle())
+        node.sbinder.put("x", key)
+        # Remove "x" from another thread if persisting the put of "y"
+        # reads the binder back by name, between listing and reading.
+        real_get = node.sbinder.get
+        raced = []
+
+        def get_racing_a_remove(name):
+            if not raced:
+                raced.append(name)
+                remover = threading.Thread(
+                    target=node.sbinder.remove, args=("x",))
+                remover.start()
+                remover.join(5.0)
+            return real_get(name)
+
+        monkeypatch.setattr(node.sbinder, "get", get_racing_a_remove)
+        node.sbinder.put("y", key)
+        if "x" in node.sbinder:
+            node.sbinder.remove("x")
+
+        errors = []
+
+        def churn(prefix):
+            try:
+                for i in range(50):
+                    node.sbinder.put(f"{prefix}{i % 5}", key)
+                    node.sbinder.remove(f"{prefix}{i % 5}")
+            except Exception as exc:  # noqa: BLE001 - collected for the assert
+                errors.append(exc)
+
+        threads = [threading.Thread(target=churn, args=(p,)) for p in "ab"]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+        assert errors == []
+        root = xmlcanon.parse_document(
+            (Path(node.config.data_dir) / "binders.doc").read_bytes())
+        assert [b.get("name") for b in root.iter("BINDING")] == ["y"]
 
     def test_ver_survives_restart(self, tmp_path, keypair):
         server = ThinServer.start(config_for(tmp_path, keypair))

@@ -14,6 +14,7 @@ from cingal.security import (
     EntityRecord,
     Right,
     Service,
+    SignatureMemo,
     format_rights,
     parse_rights,
     sign_bundle,
@@ -174,3 +175,30 @@ class TestRightsSpec:
         from cingal.errors import SchemaViolation
         with pytest.raises(SchemaViolation):
             parse_rights("STORE=PUT")
+
+
+class TestSignatureMemo:
+    def test_holds_at_most_its_size(self, keypair):
+        key, cert = keypair
+        memo = SignatureMemo(size=4)
+        bundles = [sign_bundle(make_bundle(entry=f"e.N{i}"), key, "e1")
+                   for i in range(10)]
+        for b in bundles:
+            assert memo.verify(b, cert)
+            assert len(memo) <= 4
+        assert len(memo) == 4
+        # an evicted signature still verifies, by the full check
+        assert memo.verify(bundles[0], cert)
+        assert len(memo) == 4
+
+    def test_stores_successes_only(self, keypair, second_keypair):
+        key, cert = keypair
+        memo = SignatureMemo()
+        forged = sign_bundle(make_bundle(), second_keypair[0], "e1")
+        assert not memo.verify(forged, cert)
+        assert not memo.verify(forged, cert)
+        assert len(memo) == 0
+        signed = sign_bundle(make_bundle(), key, "e1")
+        assert memo.verify(signed, cert)
+        assert not memo.verify(signed, second_keypair[1])
+        assert len(memo) == 1
