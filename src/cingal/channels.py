@@ -60,20 +60,6 @@ def recv_frame(sock: socket.socket,
     return _recv_exact(sock, length)
 
 
-def serve_connections(listener: socket.socket, serve) -> None:
-    """Call serve(sock) on a thread of its own for each accepted connection;
-    the accepting thread ends when the listener is closed."""
-    def accept_loop() -> None:
-        while True:
-            try:
-                sock, _ = listener.accept()
-            except OSError:
-                return
-            threading.Thread(target=serve, args=(sock,), daemon=True).start()
-
-    threading.Thread(target=accept_loop, daemon=True).start()
-
-
 def close_listener(listener: socket.socket | None) -> None:
     """Close a listening socket and wake any thread blocked in accept().
 

@@ -351,6 +351,7 @@ class Engine:
         self.report_timeout = report_timeout
         self.progress: list[str] = []
         self._tool_auth: dict[str, Authentication] = {}
+        self._tool_auth_lock = threading.Lock()
 
     # --- bundle sources -------------------------------------------------------
 
@@ -378,10 +379,11 @@ class Engine:
     def _tool_bundle(self, entry: str, datums: list[Datum]) -> Bundle:
         # Each tool kind is signed once: the signature covers only CODE.
         code = CodeSection(entry, "builtin")
-        if entry not in self._tool_auth:
-            self._tool_auth[entry] = sign_bundle(
-                Bundle(Authentication("", ""), code), self._key,
-                self.entity).auth
+        with self._tool_auth_lock:
+            if entry not in self._tool_auth:
+                self._tool_auth[entry] = sign_bundle(
+                    Bundle(Authentication("", ""), code), self._key,
+                    self.entity).auth
         return Bundle(self._tool_auth[entry], code, tuple(datums))
 
     def _fire_tool(self, address: str, tool: Bundle) -> TaskReport:

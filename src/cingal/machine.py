@@ -31,7 +31,6 @@ from .channels import (
     close_listener,
     recv_frame,
     send_frame,
-    serve_connections,
 )
 from .documents import (
     STATUS_FAILED,
@@ -206,8 +205,8 @@ class Machine:
         )
         # bound before the behaviour can run, and so before it can end
         self.node.register_machine(self)
-        serve_connections(self._machine_listener, self._serve_control)
-        serve_connections(self._resource_listener, self._serve_resource)
+        threading.Thread(target=self._accept_control, daemon=True).start()
+        threading.Thread(target=self._accept_resource, daemon=True).start()
         threading.Thread(target=self._run_executor, daemon=True).start()
 
     def _listen(self) -> socket.socket:
@@ -238,6 +237,15 @@ class Machine:
         self.state = TERMINATED
 
     # --- machine channel (control) ------------------------------------------
+
+    def _accept_control(self) -> None:
+        while True:
+            try:
+                sock, _ = self._machine_listener.accept()
+            except OSError:
+                return
+            threading.Thread(target=self._serve_control, args=(sock,),
+                             daemon=True).start()
 
     def _serve_control(self, sock: socket.socket) -> None:
         with sock:
@@ -310,9 +318,18 @@ class Machine:
 
     # --- resource port ---------------------------------------------------------
 
-    def _serve_resource(self, sock: socket.socket) -> None:
+    def _accept_resource(self) -> None:
         # Data connections may also arrive here; the first frame names the
         # LISTENING channel the peer wants to attach to.
+        while True:
+            try:
+                sock, _ = self._resource_listener.accept()
+            except OSError:
+                return
+            threading.Thread(target=self._serve_resource, args=(sock,),
+                             daemon=True).start()
+
+    def _serve_resource(self, sock: socket.socket) -> None:
         try:
             sock.settimeout(self.node.connect_timeout)
             frame = recv_frame(sock, self.node.max_frame)

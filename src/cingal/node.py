@@ -10,7 +10,6 @@ process binder (pbinder) names live machines and stays in memory.
 
 from __future__ import annotations
 
-import base64
 import errno
 import fcntl
 import os
@@ -19,7 +18,7 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import remote, xmlcanon
+from . import xmlcanon
 from .bundle import Bundle, parse_bundle
 from .channels import (
     DEFAULT_CONNECT_TIMEOUT,
@@ -27,7 +26,6 @@ from .channels import (
     close_listener,
     recv_frame,
     send_frame,
-    serve_connections,
 )
 from .errors import (
     BadSignature,
@@ -182,7 +180,7 @@ class ThinServer:
         listener.listen(64)
         self._listener = listener
         self.fire_port = listener.getsockname()[1]
-        serve_connections(listener, self._serve_fire)
+        threading.Thread(target=self._accept_loop, daemon=True).start()
 
     @property
     def address(self) -> str:
@@ -232,6 +230,10 @@ class ThinServer:
         with self._machines_lock:
             return list(self._machines.values())
 
+    def find_machine(self, machine_id: Guid) -> Machine | None:
+        with self._machines_lock:
+            return self._machines.get(machine_id.hex)
+
     # --- firing ---------------------------------------------------------------
 
     def fire(self, doc: bytes):
@@ -267,45 +269,58 @@ class ThinServer:
 
     # --- fire daemon -------------------------------------------------------------
 
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:
+                return
+            threading.Thread(target=self._serve_fire, args=(sock,),
+                             daemon=True).start()
+
     def _serve_fire(self, sock: socket.socket) -> None:
         try:
             frame = recv_frame(sock, self.max_frame)
         except (OSError, CingalError):
-            frame = None
+            sock.close()
+            return
         if frame is None:
             sock.close()
             return
 
-        if _peek_root_tag(frame) == "STATUSREQUEST":
-            self._reply(sock, self.status_bytes())
+        tag = _peek_root_tag(frame)
+        if tag == "STATUSREQUEST":
+            try:
+                send_frame(sock, self.status_bytes(), self.max_frame)
+            except OSError:
+                pass
             sock.close()
             return
 
         try:
             machine, progenitor_end = self.fire(frame)
         except CingalError as exc:
-            self._reply(sock, xmlcanon.canonical_bytes(element(
-                "FIRERESULT", {"status": "ERROR", "error": exc.code},
-                text=str(exc))))
+            resp = element("FIRERESULT", {"status": "ERROR", "error": exc.code},
+                           text=str(exc))
+            try:
+                send_frame(sock, xmlcanon.canonical_bytes(resp), self.max_frame)
+            except OSError:
+                pass
             sock.close()
             return
 
-        if not self._reply(sock, xmlcanon.canonical_bytes(element(
-                "FIRERESULT", {"status": "OK"},
-                children=[element("CONNECTOR", machine.connector.attrib())]))):
+        resp = element("FIRERESULT", {"status": "OK"},
+                       children=[element("CONNECTOR",
+                                         machine.connector.attrib())])
+        try:
+            send_frame(sock, xmlcanon.canonical_bytes(resp), self.max_frame)
+        except OSError:
             sock.close()
             return
         # The open fire connection now carries the default channel.
         threading.Thread(target=self._pump_out, args=(sock, progenitor_end),
                          daemon=True).start()
         self._pump_in(sock, progenitor_end)
-
-    def _reply(self, sock: socket.socket, doc: bytes) -> bool:
-        try:
-            send_frame(sock, doc, self.max_frame)
-            return True
-        except OSError:
-            return False
 
     def _pump_out(self, sock, progenitor_end) -> None:
         while True:
@@ -371,9 +386,13 @@ class ThinServer:
         if not self._binder_path.exists():
             return
         root = xmlcanon.parse_document(self._binder_path.read_bytes())
-        for binding in root.findall("BINDER[@name='sbinder']/BINDING"):
-            self.sbinder.put(binding.get("name", ""),
-                             Guid(binding.get("value", "")))
+        for binder_el in root.findall("BINDER"):
+            # pbinder entries name machines, which never survive a restart
+            if binder_el.get("name") != "sbinder":
+                continue
+            for binding in binder_el.findall("BINDING"):
+                self.sbinder.put(binding.get("name", ""),
+                                 Guid(binding.get("value", "")))
 
 
 def _peek_root_tag(frame: bytes) -> str:
@@ -387,6 +406,9 @@ def write_default(connector, payload: bytes,
                   max_frame: int = DEFAULT_MAX_FRAME) -> None:
     """Inject a message into a machine's default channel via its machine
     channel (WRITE_DEFAULT control op)."""
+    import base64
+
+    from . import remote
     remote.control_request(connector.host, connector.machine_port,
                            "WRITE_DEFAULT",
                            text=base64.b64encode(payload).decode("ascii"),
@@ -396,6 +418,9 @@ def write_default(connector, payload: bytes,
 def read_default(connector, timeout: float = 5.0,
                  max_frame: int = DEFAULT_MAX_FRAME) -> bytes:
     """Pop one message from a machine's outbound default channel."""
+    import base64
+
+    from . import remote
     resp = remote.control_request(connector.host, connector.machine_port,
                                   "READ_DEFAULT",
                                   {"timeout": str(timeout)},

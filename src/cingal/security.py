@@ -7,14 +7,16 @@ right) capabilities recorded for the machine's signing entity.
 
 The signature covers the canonical bytes of the CODE section only; the
 payload is deliberately outside the signed body. A node memoises checks
-in a fixed-size ``SignatureMemo`` keyed on (certificate, CODE bytes,
-signature). It stores successes only: a forged bundle pays every time.
+in a fixed-size ``SignatureMemo`` keyed on (certificate, SHA-256 of the
+CODE bytes, signature). It stores successes only: a forged bundle pays
+every time.
 """
 
 from __future__ import annotations
 
 import base64
 import enum
+import hashlib
 import threading
 from pathlib import Path
 
@@ -139,23 +141,27 @@ def verify_bundle(b: Bundle, certificate_pem: str) -> bool:
         return False
 
 
-class SignatureMemo:
-    """verify_bundle behind a memo of the last ``size`` checks that passed."""
+SIGNATURE_MEMO_SIZE = 256
 
-    def __init__(self, size: int = 256):
-        self.size = size
+
+class SignatureMemo:
+    """verify_bundle behind a memo of the last SIGNATURE_MEMO_SIZE checks
+    that passed. Keys hash the CODE bytes, so each entry has a fixed size."""
+
+    def __init__(self):
         self._passed: dict[tuple[str, bytes, str], None] = {}
         self._lock = threading.Lock()
 
     def verify(self, b: Bundle, certificate_pem: str) -> bool:
-        key = (certificate_pem, code_section_bytes(b), b.auth.signature)
+        key = (certificate_pem, hashlib.sha256(code_section_bytes(b)).digest(),
+               b.auth.signature)
         if key in self._passed:
             return True
         if not verify_bundle(b, certificate_pem):
             return False
         with self._lock:
             self._passed[key] = None
-            if len(self._passed) > self.size:
+            while len(self._passed) > SIGNATURE_MEMO_SIZE:
                 del self._passed[next(iter(self._passed))]
         return True
 

@@ -1,3 +1,6 @@
+import threading
+import time
+
 import pytest
 
 from cingal import engine as engine_module
@@ -113,6 +116,29 @@ class TestFireAddress:
     def test_explicit_port_kept(self):
         engine = Engine("e", "key")
         assert engine.fire_address("10.0.0.1:9999") == "10.0.0.1:9999"
+
+
+class TestToolBundle:
+    def test_concurrent_callers_sign_each_kind_once(self, keypair,
+                                                    monkeypatch):
+        signed = []
+        real_sign = engine_module.sign_bundle
+
+        def slow_sign(b, key, entity):
+            signed.append(b.code.entry)
+            time.sleep(0.05)  # the other callers arrive before it returns
+            return real_sign(b, key, entity)
+
+        monkeypatch.setattr(engine_module, "sign_bundle", slow_sign)
+        engine = Engine("e", keypair[0])
+        callers = [threading.Thread(target=engine._tool_bundle,
+                                    args=(ENTRY_WIRER, []))
+                   for _ in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join()
+        assert signed == [ENTRY_WIRER]
 
 
 # --- live deployments -------------------------------------------------------

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from cingal import security as security_module
 from cingal.errors import (
     CapabilityDenied,
     DuplicateEntity,
@@ -178,9 +179,10 @@ class TestRightsSpec:
 
 
 class TestSignatureMemo:
-    def test_holds_at_most_its_size(self, keypair):
+    def test_holds_at_most_its_size(self, keypair, monkeypatch):
         key, cert = keypair
-        memo = SignatureMemo(size=4)
+        monkeypatch.setattr(security_module, "SIGNATURE_MEMO_SIZE", 4)
+        memo = SignatureMemo()
         bundles = [sign_bundle(make_bundle(entry=f"e.N{i}"), key, "e1")
                    for i in range(10)]
         for b in bundles:
@@ -202,3 +204,14 @@ class TestSignatureMemo:
         assert memo.verify(signed, cert)
         assert not memo.verify(signed, second_keypair[1])
         assert len(memo) == 1
+
+    def test_entries_do_not_grow_with_code_size(self, keypair):
+        key, cert = keypair
+        memo = SignatureMemo()
+        for size in (4, 1 << 20):
+            unit = base64.b64encode(b"x" * size).decode()
+            assert memo.verify(sign_bundle(
+                make_bundle(units=(("unit", unit),)), key, "e1"), cert)
+        small, large = (sum(len(part) for part in key)
+                        for key in memo._passed)
+        assert small == large
