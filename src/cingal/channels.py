@@ -5,6 +5,12 @@ unsigned length prefix followed by the payload bytes. Named channels are
 point-to-point TCP links that third parties may connect, disconnect and
 reconnect while the owning bundle blocks on read/write; reads and writes
 on an unwired name simply wait for wiring to complete.
+
+Teardown: every socket is closed through ``close_socket``, so
+``disconnect`` sends a FIN and the peer's end of the link ends too. A
+name whose peer dropped the link goes to UNBOUND, and one DISCONNECT on
+that name still answers OK, so a third party can unwire both ends in any
+order; a name never wired, or already disconnected, raises NameNotBound.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import queue
 import socket
 import struct
 import threading
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -26,6 +33,7 @@ from .errors import (
 
 DEFAULT_MAX_FRAME = 16 * 1024 * 1024
 DEFAULT_CONNECT_TIMEOUT = 5.0
+CONTROL_LOG_SIZE = 64  # control exchanges kept per machine, newest last
 
 # --- framing ------------------------------------------------------------
 
@@ -60,23 +68,73 @@ def recv_frame(sock: socket.socket,
     return _recv_exact(sock, length)
 
 
-def close_listener(listener: socket.socket | None) -> None:
-    """Close a listening socket and wake any thread blocked in accept().
+def close_socket(sock: socket.socket | None) -> None:
+    """Close a socket and wake any thread blocked on it.
 
-    A bare close() does not interrupt an accept() blocked in another
-    thread, so the kernel socket would stay open and keep accepting;
-    shutdown() first makes that accept() fail and the port is freed.
+    A bare close() neither interrupts an accept() or recv() blocked in
+    another thread nor sends a FIN while that thread holds the socket, so
+    the port stays open and the peer never sees the link end; shutdown()
+    first does both.
     """
-    if listener is None:
+    if sock is None:
         return
     try:
-        listener.shutdown(socket.SHUT_RDWR)
+        sock.shutdown(socket.SHUT_RDWR)
     except OSError:
         pass
     try:
-        listener.close()
+        sock.close()
     except OSError:
         pass
+
+
+class Acceptor:
+    """Listens on (host, port) and serves each connection on its own thread.
+
+    ``handler(sock)`` returns True when it has handed the socket on (to a
+    named channel); otherwise the socket is closed when it returns.
+    close() shuts the listener and every connection still being served.
+    """
+
+    def __init__(self, host: str, port: int, handler):
+        self._listener = socket.create_server((host, port), backlog=64)
+        self.port = self._listener.getsockname()[1]
+        self._handler = handler
+        self._serving: set[socket.socket] | None = set()  # None once closed
+        self._lock = threading.Lock()
+        threading.Thread(target=self._accept_loop, daemon=True).start()
+
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:
+                return  # listener closed
+            with self._lock:
+                if self._serving is None:
+                    close_socket(sock)
+                    return
+                self._serving.add(sock)
+            threading.Thread(target=self._serve, args=(sock,),
+                             daemon=True).start()
+
+    def _serve(self, sock: socket.socket) -> None:
+        kept = False
+        try:
+            kept = self._handler(sock)
+        finally:
+            with self._lock:
+                if self._serving is not None:
+                    self._serving.discard(sock)
+            if not kept:
+                close_socket(sock)
+
+    def close(self) -> None:
+        with self._lock:
+            serving, self._serving = self._serving or (), None
+        close_socket(self._listener)
+        for sock in serving:
+            close_socket(sock)
 
 
 # --- connectors ----------------------------------------------------------
@@ -116,42 +174,54 @@ class Connector:
 
 # --- in-process channel pairs (default channels) -------------------------
 
+_CLOSED = object()  # queued behind the last message when a channel closes
+
+
+def _take(inbox: queue.Queue, timeout: float | None = None) -> bytes | None:
+    """Next message, or None after ``timeout``; PeerClosed at the close
+    sentinel, which stays queued for the next reader."""
+    try:
+        msg = inbox.get(timeout=timeout)
+    except queue.Empty:
+        return None
+    if msg is _CLOSED:
+        inbox.put(_CLOSED)
+        raise PeerClosed("channel closed")
+    return msg
+
+
 class ChannelEndpoint:
     """One end of a FIFO byte-message channel."""
 
     def __init__(self, max_frame: int = DEFAULT_MAX_FRAME):
         self._inbox: queue.Queue = queue.Queue()
         self._peer: "ChannelEndpoint | None" = None
-        self._closed = threading.Event()
+        self._closed = False
         self._max_frame = max_frame
 
     def write(self, payload: bytes) -> None:
         if len(payload) > self._max_frame:
             raise FrameTooLarge(f"{len(payload)} > {self._max_frame}")
         peer = self._peer
-        if peer is None or peer._closed.is_set():
+        if peer is None or peer._closed:
             raise PeerClosed("peer endpoint closed")
         peer._inbox.put(payload)
 
     def read(self) -> bytes:
         """Next message in FIFO order; blocks while the channel is open."""
-        while True:
-            try:
-                return self._inbox.get(timeout=0.1)
-            except queue.Empty:
-                if self._closed.is_set() or (
-                        self._peer is not None and self._peer._closed.is_set()):
-                    # queue already drained: the Empty above checked it
-                    raise PeerClosed("channel closed") from None
+        return _take(self._inbox)
 
     def try_read(self, timeout: float) -> bytes | None:
-        try:
-            return self._inbox.get(timeout=timeout)
-        except queue.Empty:
-            return None
+        return _take(self._inbox, timeout)
 
     def close(self) -> None:
-        self._closed.set()
+        if self._closed:
+            return
+        self._closed = True
+        # wake readers of both ends once they drain what came before
+        self._inbox.put(_CLOSED)
+        if self._peer is not None:
+            self._peer._inbox.put(_CLOSED)
 
 
 def channel_pair(max_frame: int = DEFAULT_MAX_FRAME) -> tuple[ChannelEndpoint, ChannelEndpoint]:
@@ -171,11 +241,10 @@ class _NamedChannel:
     def __init__(self, name: str, max_frame: int):
         self.name = name
         self.state = UNBOUND
-        self.port: int | None = None
+        self.dropped = False  # the peer ended the link; one DISCONNECT is OK
         self.sock: socket.socket | None = None
         self.listener: socket.socket | None = None
         self.inbox: queue.Queue = queue.Queue()
-        self.connected = threading.Event()
         self.send_lock = threading.Lock()
         self.max_frame = max_frame
 
@@ -199,7 +268,8 @@ class ConnectionManager:
 
     Thread-safe: control requests arriving on the machine channel mutate
     the table while the bundle blocks on read/write. ``control_log``
-    records every (request, response) document pair for inspection.
+    records the newest CONTROL_LOG_SIZE (request, response) document
+    pairs for inspection.
     """
 
     def __init__(self, host: str = "127.0.0.1",
@@ -208,10 +278,12 @@ class ConnectionManager:
         self.host = host
         self._channels: dict[str, _NamedChannel] = {}
         self._lock = threading.RLock()
+        self._changed = threading.Condition(self._lock)  # wakes writers
         self._max_frame = max_frame
         self._connect_timeout = connect_timeout
         self._shutdown = False
-        self.control_log: list[tuple[str, str]] = []
+        self.control_log: deque[tuple[str, str]] = deque(
+            maxlen=CONTROL_LOG_SIZE)
 
     def _channel(self, name: str) -> _NamedChannel:
         if not name:
@@ -221,6 +293,8 @@ class ConnectionManager:
             if ch is None:
                 ch = _NamedChannel(name, self._max_frame)
                 self._channels[name] = ch
+                if self._shutdown:
+                    ch.inbox.put(_CLOSED)
             return ch
 
     def endpoint(self, name: str) -> NamedChannelEndpoint:
@@ -244,15 +318,13 @@ class ConnectionManager:
         with self._lock:
             if ch.state != UNBOUND:
                 raise NameAlreadyBound(f"{name} is {ch.state}")
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.bind((self.host, 0))
-            listener.listen(1)
+            listener = socket.create_server((self.host, 0), backlog=1)
+            port = listener.getsockname()[1]
             ch.listener = listener
-            ch.port = listener.getsockname()[1]
             ch.state = LISTENING
         threading.Thread(target=self._accept_one, args=(ch, listener),
                          daemon=True).start()
-        return ch.port
+        return port
 
     def _accept_one(self, ch: _NamedChannel, listener: socket.socket) -> None:
         try:
@@ -261,9 +333,9 @@ class ConnectionManager:
             return  # listener closed by disconnect/shutdown
         with self._lock:
             if ch.listener is not listener:
-                sock.close()
+                close_socket(sock)
                 return
-            close_listener(listener)
+            close_socket(listener)
             ch.listener = None
             self._attach(ch, sock)
 
@@ -281,7 +353,7 @@ class ConnectionManager:
             raise ConnectFailed(f"{host}:{port}: {exc}") from exc
         with self._lock:
             if ch.state != UNBOUND:
-                sock.close()
+                close_socket(sock)
                 raise NameAlreadyBound(f"{name} is {ch.state}")
             self._attach(ch, sock)
 
@@ -289,7 +361,7 @@ class ConnectionManager:
         # caller holds self._lock
         ch.sock = sock
         ch.state = CONNECTED
-        ch.connected.set()
+        self._changed.notify_all()
         threading.Thread(target=self._pump_in, args=(ch, sock),
                          daemon=True).start()
 
@@ -300,7 +372,7 @@ class ConnectionManager:
             ch = self._channels.get(name)
             if ch is None or ch.state != LISTENING:
                 return False
-            close_listener(ch.listener)
+            close_socket(ch.listener)
             ch.listener = None
             self._attach(ch, sock)
             return True
@@ -317,41 +389,28 @@ class ConnectionManager:
         # peer went away: drop to UNBOUND unless a rewire already replaced us
         with self._lock:
             if ch.sock is sock:
-                ch.sock = None
-                ch.connected.clear()
-                if ch.state == CONNECTED:
-                    ch.state = UNBOUND
-        try:
-            sock.close()
-        except OSError:
-            pass
+                ch.sock, ch.state, ch.dropped = None, UNBOUND, True
+        close_socket(sock)
 
     def disconnect(self, name: str) -> None:
         with self._lock:
             ch = self._channels.get(name)
-            if ch is None or ch.state == UNBOUND:
+            if ch is None or (ch.state == UNBOUND and not ch.dropped):
                 raise NameNotBound(name)
-            ch.state = UNBOUND
-            ch.connected.clear()
+            ch.state, ch.dropped = UNBOUND, False
             sock, ch.sock = ch.sock, None
             listener, ch.listener = ch.listener, None
-        close_listener(listener)
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
+        close_socket(listener)
+        close_socket(sock)
 
     def shutdown(self) -> None:
         with self._lock:
             self._shutdown = True
-            names = [n for n, ch in self._channels.items()
-                     if ch.state != UNBOUND]
-        for name in names:
-            try:
-                self.disconnect(name)
-            except NameNotBound:
-                pass
+            self._changed.notify_all()
+            for name, ch in self._channels.items():
+                ch.inbox.put(_CLOSED)
+                if ch.state != UNBOUND:
+                    self.disconnect(name)
 
     # --- bundle-side read/write ------------------------------------------
 
@@ -360,34 +419,22 @@ class ConnectionManager:
         if len(payload) > self._max_frame:
             raise FrameTooLarge(f"{len(payload)} > {self._max_frame}")
         ch = self._channel(name)
+        failed = None  # a socket that failed mid-send; wait for a new one
         while True:
-            ch.connected.wait(timeout=0.2)
+            with self._changed:
+                self._changed.wait_for(lambda: self._shutdown or (
+                    ch.state == CONNECTED and ch.sock is not failed))
+                if self._shutdown:
+                    raise PeerClosed("connection manager shut down")
+                sock = ch.sock
             with ch.send_lock:
-                with self._lock:
-                    sock = ch.sock if ch.state == CONNECTED else None
-                if sock is None:
-                    if self._shutdown:
-                        raise PeerClosed("connection manager shut down")
-                    continue
                 try:
                     send_frame(sock, payload, ch.max_frame)
                     return
                 except OSError:
-                    continue  # dropped mid-send; wait for rewiring
+                    failed = sock
 
     def read(self, name: str) -> bytes:
-        """Blocks until a message arrives; disconnection keeps it waiting."""
-        ch = self._channel(name)
-        while True:
-            try:
-                return ch.inbox.get(timeout=0.2)
-            except queue.Empty:
-                if self._shutdown:
-                    raise PeerClosed("connection manager shut down") from None
-
-    def try_read(self, name: str, timeout: float) -> bytes | None:
-        ch = self._channel(name)
-        try:
-            return ch.inbox.get(timeout=timeout)
-        except queue.Empty:
-            return None
+        """Blocks until a message arrives; disconnection keeps it waiting,
+        shutdown ends it with PeerClosed."""
+        return _take(self._channel(name).inbox)

@@ -13,12 +13,11 @@ import threading
 from pathlib import Path
 
 from . import remote
-from .bundle import Authentication, Bundle, CodeSection, Datum, parse_bundle
-from .bundle import serialize_bundle
+from .bundle import parse_bundle, serialize_bundle
 from .documents import report_from_bytes
 from .engine import ConnectionRef, DeploymentRecord, Engine, parse_ddd
 from .errors import CingalError, PhaseFailed
-from .machine import ENTRY_ENTITY_MANAGER
+from .machine import entity_bundle
 from .node import NodeConfig, ThinServer
 from .security import sign_bundle
 from .xmlcanon import parse_document
@@ -79,17 +78,12 @@ def cmd_bundle_sign(args, parser) -> int:
 
 def cmd_entity(args, parser) -> int:
     signer_key = _read(args.signer_key, parser).decode("ascii")
-    datums = [Datum("Action", args.action.upper()),
-              Datum("EntityId", args.id)]
+    cert = ""
     if args.action == "add":
         if not args.cert or not args.rights:
             parser.error("entity add requires --cert and --rights")
         cert = _read(args.cert, parser).decode("ascii")
-        datums += [Datum("Certificate", cert.strip()),
-                   Datum("Rights", args.rights)]
-    unsigned = Bundle(auth=Authentication("", ""),
-                      code=CodeSection(ENTRY_ENTITY_MANAGER, "builtin"),
-                      data=tuple(datums))
+    unsigned = entity_bundle(args.action, args.id, cert, args.rights)
     try:
         signed = sign_bundle(unsigned, signer_key, args.signer_entity)
         handle = remote.fire(args.node, serialize_bundle(signed))

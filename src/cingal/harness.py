@@ -175,16 +175,11 @@ def _provision_deployer(topology: TestTopology,
 
 
 def _fire_entity_add(address: str, topology: TestTopology) -> None:
-    from .machine import ENTRY_ENTITY_MANAGER
+    from .machine import entity_bundle
     from .security import sign_bundle
 
-    unsigned = Bundle(
-        auth=Authentication("", ""),
-        code=CodeSection(ENTRY_ENTITY_MANAGER, "builtin"),
-        data=(Datum("Action", "ADD"),
-              Datum("EntityId", DEPLOYER_ENTITY),
-              Datum("Certificate", topology.deployer_cert.strip()),
-              Datum("Rights", DEPLOYER_RIGHTS)))
+    unsigned = entity_bundle("ADD", DEPLOYER_ENTITY, topology.deployer_cert,
+                             DEPLOYER_RIGHTS)
     signed = sign_bundle(unsigned, topology.admin_key, ADMIN_ENTITY)
     handle = remote.fire(address, serialize_bundle(signed))
     try:

@@ -17,18 +17,18 @@ ship pre-registered.
 from __future__ import annotations
 
 import base64
-import socket
 import threading
 
 from . import remote, xmlcanon
-from .bundle import Bundle, Datum, nested_bundle, serialize_bundle
+from .bundle import Authentication, Bundle, CodeSection, Datum, nested_bundle
+from .bundle import serialize_bundle
 from .channels import (
+    Acceptor,
     ChannelEndpoint,
     ConnectionManager,
     Connector,
     NamedChannelEndpoint,
     channel_pair,
-    close_listener,
     recv_frame,
     send_frame,
 )
@@ -188,32 +188,21 @@ class Machine:
                                     node.connect_timeout)
         self.progenitor_endpoint, self.default_endpoint = channel_pair(
             node.max_frame)
-        self._machine_listener: socket.socket | None = None
-        self._resource_listener: socket.socket | None = None
+        self._control: Acceptor | None = None
+        self._resource: Acceptor | None = None
         self.connector: Connector | None = None
         self._terminating = threading.Lock()  # held once terminate begins
 
     # --- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        self._machine_listener = self._listen()
-        self._resource_listener = self._listen()
-        self.connector = Connector(
-            self.node.host,
-            self._machine_listener.getsockname()[1],
-            self._resource_listener.getsockname()[1],
-        )
+        self._control = Acceptor(self.node.host, 0, self._serve_control)
+        self._resource = Acceptor(self.node.host, 0, self._serve_resource)
+        self.connector = Connector(self.node.host, self._control.port,
+                                   self._resource.port)
         # bound before the behaviour can run, and so before it can end
         self.node.register_machine(self)
-        threading.Thread(target=self._accept_control, daemon=True).start()
-        threading.Thread(target=self._accept_resource, daemon=True).start()
         threading.Thread(target=self._run_executor, daemon=True).start()
-
-    def _listen(self) -> socket.socket:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.bind((self.node.host, 0))
-        sock.listen(16)
-        return sock
 
     def _run_executor(self) -> None:
         try:
@@ -228,8 +217,9 @@ class Machine:
     def terminate(self) -> None:
         if not self._terminating.acquire(blocking=False):
             return
-        close_listener(self._machine_listener)
-        close_listener(self._resource_listener)
+        # also ends every other control connection and pending data link
+        self._control.close()
+        self._resource.close()
         self.cm.shutdown()
         self.default_endpoint.close()
         self.progenitor_endpoint.close()
@@ -238,32 +228,22 @@ class Machine:
 
     # --- machine channel (control) ------------------------------------------
 
-    def _accept_control(self) -> None:
+    def _serve_control(self, sock) -> None:
         while True:
             try:
-                sock, _ = self._machine_listener.accept()
+                frame = recv_frame(sock, self.node.max_frame)
+            except (OSError, CingalError):
+                return
+            if frame is None:
+                return
+            response, terminate = self._handle_control(frame)
+            try:
+                send_frame(sock, response, self.node.max_frame)
             except OSError:
                 return
-            threading.Thread(target=self._serve_control, args=(sock,),
-                             daemon=True).start()
-
-    def _serve_control(self, sock: socket.socket) -> None:
-        with sock:
-            while True:
-                try:
-                    frame = recv_frame(sock, self.node.max_frame)
-                except (OSError, CingalError):
-                    return
-                if frame is None:
-                    return
-                response, terminate = self._handle_control(frame)
-                try:
-                    send_frame(sock, response, self.node.max_frame)
-                except OSError:
-                    return
-                if terminate:
-                    self.terminate()
-                    return
+            if terminate:
+                self.terminate()
+                return
 
     def _handle_control(self, frame: bytes) -> tuple[bytes, bool]:
         terminate = False
@@ -318,31 +298,18 @@ class Machine:
 
     # --- resource port ---------------------------------------------------------
 
-    def _accept_resource(self) -> None:
+    def _serve_resource(self, sock) -> bool:
         # Data connections may also arrive here; the first frame names the
         # LISTENING channel the peer wants to attach to.
-        while True:
-            try:
-                sock, _ = self._resource_listener.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._serve_resource, args=(sock,),
-                             daemon=True).start()
-
-    def _serve_resource(self, sock: socket.socket) -> None:
         try:
             sock.settimeout(self.node.connect_timeout)
             frame = recv_frame(sock, self.node.max_frame)
         except (OSError, CingalError):
-            sock.close()
-            return
+            return False
         if frame is None:
-            sock.close()
-            return
-        name = frame.decode("utf-8", "replace")
+            return False
         sock.settimeout(None)
-        if not self.cm.attach_inbound(name, sock):
-            sock.close()
+        return self.cm.attach_inbound(frame.decode("utf-8", "replace"), sock)
 
 
 def spawn_machine(node, b: Bundle) -> tuple[Machine, ChannelEndpoint]:
@@ -484,6 +451,19 @@ def tool_wire(b: Bundle, api: MachineApi) -> TaskReport:
     report = TaskReport(tuple(results))
     _send_report(api, report)
     return report
+
+
+def entity_bundle(action: str, entity: str, certificate: str = "",
+                  rights: str = "") -> Bundle:
+    """Unsigned EntityManager bundle that ADDs (with the certificate PEM and
+    rights text) or REMOVEs ``entity``."""
+    datums = [Datum("Action", action.upper()), Datum("EntityId", entity)]
+    if action.upper() == "ADD":
+        datums += [Datum("Certificate", certificate.strip()),
+                   Datum("Rights", rights)]
+    return Bundle(auth=Authentication("", ""),
+                  code=CodeSection(ENTRY_ENTITY_MANAGER, "builtin"),
+                  data=tuple(datums))
 
 
 def tool_entity(b: Bundle, api: MachineApi) -> TaskReport:

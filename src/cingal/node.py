@@ -23,7 +23,7 @@ from .bundle import Bundle, parse_bundle
 from .channels import (
     DEFAULT_CONNECT_TIMEOUT,
     DEFAULT_MAX_FRAME,
-    close_listener,
+    Acceptor,
     recv_frame,
     send_frame,
 )
@@ -154,7 +154,7 @@ class ThinServer:
 
         self._machines: dict[str, Machine] = {}
         self._machines_lock = threading.Lock()
-        self._listener: socket.socket | None = None
+        self._acceptor: Acceptor | None = None
         self.fire_port: int | None = None
         self._stopped = False
 
@@ -167,20 +167,15 @@ class ThinServer:
         return node
 
     def serve(self) -> None:
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
-            listener.bind((self.config.address, self.config.fire_port))
+            self._acceptor = Acceptor(self.config.address,
+                                      self.config.fire_port, self._serve_fire)
         except OSError as exc:
-            listener.close()
             self.close()
             if exc.errno in (errno.EADDRINUSE, errno.EACCES):
                 raise PortInUse(str(exc)) from exc
             raise
-        listener.listen(64)
-        self._listener = listener
-        self.fire_port = listener.getsockname()[1]
-        threading.Thread(target=self._accept_loop, daemon=True).start()
+        self.fire_port = self._acceptor.port
 
     @property
     def address(self) -> str:
@@ -190,7 +185,8 @@ class ThinServer:
         if self._stopped:
             return
         self._stopped = True
-        close_listener(self._listener)
+        if self._acceptor is not None:
+            self._acceptor.close()  # ends every fire connection too
         for m in self.machines():
             m.terminate()
         self.close()
@@ -230,10 +226,6 @@ class ThinServer:
         with self._machines_lock:
             return list(self._machines.values())
 
-    def find_machine(self, machine_id: Guid) -> Machine | None:
-        with self._machines_lock:
-            return self._machines.get(machine_id.hex)
-
     # --- firing ---------------------------------------------------------------
 
     def fire(self, doc: bytes):
@@ -269,24 +261,16 @@ class ThinServer:
 
     # --- fire daemon -------------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._serve_fire, args=(sock,),
-                             daemon=True).start()
-
     def _serve_fire(self, sock: socket.socket) -> None:
+        # an idle connection may not hold this thread past the deadline
+        sock.settimeout(self.connect_timeout)
         try:
             frame = recv_frame(sock, self.max_frame)
         except (OSError, CingalError):
-            sock.close()
             return
         if frame is None:
-            sock.close()
             return
+        sock.settimeout(None)
 
         tag = _peek_root_tag(frame)
         if tag == "STATUSREQUEST":
@@ -294,7 +278,6 @@ class ThinServer:
                 send_frame(sock, self.status_bytes(), self.max_frame)
             except OSError:
                 pass
-            sock.close()
             return
 
         try:
@@ -306,7 +289,6 @@ class ThinServer:
                 send_frame(sock, xmlcanon.canonical_bytes(resp), self.max_frame)
             except OSError:
                 pass
-            sock.close()
             return
 
         resp = element("FIRERESULT", {"status": "OK"},
@@ -315,7 +297,6 @@ class ThinServer:
         try:
             send_frame(sock, xmlcanon.canonical_bytes(resp), self.max_frame)
         except OSError:
-            sock.close()
             return
         # The open fire connection now carries the default channel.
         threading.Thread(target=self._pump_out, args=(sock, progenitor_end),

@@ -17,6 +17,7 @@ from .channels import (
     DEFAULT_CONNECT_TIMEOUT,
     DEFAULT_MAX_FRAME,
     Connector,
+    close_socket,
     recv_frame,
     send_frame,
 )
@@ -57,10 +58,7 @@ class FireHandle:
         return frame
 
     def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        close_socket(self._sock)
 
 
 def fire(address: str, doc: bytes,
@@ -77,17 +75,17 @@ def fire(address: str, doc: bytes,
         sock.settimeout(30.0)
         frame = recv_frame(sock, max_frame)
     except OSError as exc:
-        sock.close()
+        close_socket(sock)
         raise ConnectFailed(f"{address}: {exc}") from exc
     if frame is None:
-        sock.close()
+        close_socket(sock)
         raise PeerClosed("fire daemon closed without a result")
     root = xmlcanon.parse_document(frame)
     if root.tag != "FIRERESULT":
-        sock.close()
+        close_socket(sock)
         raise MalformedDocument(f"expected FIRERESULT, got {root.tag}")
     if root.get("status") != "OK":
-        sock.close()
+        close_socket(sock)
         raise error_for_code(root.get("error", "Error"), (root.text or "").strip())
     connector = Connector.from_element(root.find("CONNECTOR"))
     sock.settimeout(None)

@@ -1,4 +1,5 @@
 import base64
+import threading
 import time
 from pathlib import Path
 
@@ -51,3 +52,8 @@ def wait_for(predicate, timeout=5.0):
             return True
         time.sleep(0.02)
     return False
+
+
+def threads_back_to(baseline, timeout=5.0):
+    """True once no more than ``baseline`` threads are live."""
+    return wait_for(lambda: threading.active_count() <= baseline, timeout)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cingal import channels
 from cingal.channels import (
     CONNECTED,
     LISTENING,
@@ -25,6 +26,7 @@ from cingal.errors import (
     PeerClosed,
     SchemaViolation,
 )
+from conftest import threads_back_to, wait_for
 
 
 def socket_pair():
@@ -227,9 +229,25 @@ class TestConnectionManager:
             s2.close()
 
     def test_disconnect_unbound(self, managers):
-        a, _ = managers
-        with pytest.raises(NameNotBound):
-            a.disconnect("never")
+        a, b = managers
+        wire(a, "out", b, "in")
+        b.disconnect("in")
+        assert wait_for(lambda: a.state("out") == UNBOUND)
+        # a never-wired name raises at once; one whose peer dropped the
+        # link answers one DISCONNECT, so both ends unwire in any order
+        for name, answered in (("never", 0), ("out", 1)):
+            for _ in range(answered):
+                a.disconnect(name)
+            with pytest.raises(NameNotBound):
+                a.disconnect(name)
+
+    def test_disconnect_reaches_peer(self, managers):
+        a, b = managers
+        before = threading.active_count()
+        wire(a, "out", b, "in")
+        a.disconnect("out")
+        assert wait_for(lambda: b.state("in") == UNBOUND)
+        assert threads_back_to(before), "channel pump threads still live"
 
     def test_empty_name(self, managers):
         a, _ = managers
@@ -310,6 +328,52 @@ class TestConnectionManager:
         a.shutdown()
         t.join(timeout=5)
         assert len(errors) == 1
+
+    def test_read_after_shutdown_raises(self, managers):
+        a, _ = managers
+        a.shutdown()
+        errors = []
+
+        def reader():
+            try:
+                a.read("first-used-after-shutdown")
+            except PeerClosed as exc:
+                errors.append(exc)
+
+        t = threading.Thread(target=reader, daemon=True)
+        t.start()
+        t.join(timeout=5)
+        assert len(errors) == 1
+
+    def test_writer_waits_for_new_socket_after_failed_send(self, managers,
+                                                           monkeypatch):
+        a, b = managers
+        wire(a, "out", b, "in")
+        real_send = channels.send_frame
+        failed = a._channels["out"].sock
+        attempts = []
+
+        def send(sock, payload, max_frame):
+            attempts.append(sock)
+            if sock is failed:
+                raise OSError("send failed")
+            real_send(sock, payload, max_frame)
+
+        monkeypatch.setattr(channels, "send_frame", send)
+        done = threading.Event()
+
+        def writer():
+            a.write("out", b"after-rewire")
+            done.set()
+
+        threading.Thread(target=writer, daemon=True).start()
+        time.sleep(0.3)
+        assert attempts == [failed]  # parked, not retrying the dead socket
+        a.disconnect("out")
+        b.disconnect("in")
+        wire(a, "out", b, "in")
+        assert done.wait(timeout=5)
+        assert b.read("in") == b"after-rewire"
 
     def test_attach_inbound_requires_listening(self, managers):
         a, _ = managers

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from cingal import engine as engine_module
+from cingal import remote
 from cingal.channels import Connector
 from cingal.engine import (
     CONNECTED,
@@ -20,7 +21,7 @@ from cingal.errors import DanglingReference, PhaseFailed, SchemaViolation
 from cingal.harness import harness_spawn, observed_channel_state
 from cingal.machine import ENTRY_INSTALLER, ENTRY_RUNNER, ENTRY_WIRER
 from cingal.xmlcanon import canonical
-from conftest import SAMPLES
+from conftest import SAMPLES, threads_back_to, wait_for
 
 
 SAMPLE_DDD = (SAMPLES / "server_cache_ddd.xml").read_bytes()
@@ -166,9 +167,8 @@ def two_node_ddd(topo, connections=True):
           <BUNDLE name="Cache" source="{topo.bundle_paths['cache']}"/>
         </BUNDLES>
         <HOSTS>
-          <HOST id="A" address="{topo.node(0).address}"/>
-          <HOST id="B" address="{topo.node(1).address}"/>
-          <HOST id="C" address="{topo.node(2).address}"/>
+          {"".join(f'<HOST id="{"ABC"[i]}" address="{h.address}"/>'
+                   for i, h in enumerate(topo.nodes))}
         </HOSTS>
         <DEPLOYMENTS>
           <DEPLOYMENT name="PrimaryServer" bundle="Server" target="A"/>
@@ -369,3 +369,27 @@ class TestMove:
         record = engine.deploy(two_node_ddd(topology))
         with pytest.raises(DanglingReference):
             engine.move_component(record, "CachingServer", "Z")
+
+
+class TestTeardown:
+    def test_cycles_bring_threads_back_to_baseline(self):
+        with harness_spawn(2) as topo:
+            engine = topo.engine()
+            ddd = two_node_ddd(topo)
+            before = threading.active_count()
+            for cycle in range(5):
+                record = engine.deploy(ddd)
+                engine.rewire(record, [])
+                engine.rewire(record, list(ddd.connections))
+                engine.move_component(record, "CachingServer", "A")
+                payload = b"cycle-%d" % cycle
+                assert topo.probe(record, "PrimaryServer", "CachingServer",
+                                  payload) == payload
+                for dep in record.deployments.values():
+                    remote.control_request(dep.connector.host,
+                                           dep.connector.machine_port,
+                                           "TERMINATE")
+                assert wait_for(lambda: not any(
+                    h.server.machines() for h in topo.nodes))
+            assert threads_back_to(before), \
+                f"{threading.active_count()} threads live, {before} before"

@@ -1,3 +1,4 @@
+import socket
 import time
 
 import pytest
@@ -11,11 +12,13 @@ from cingal.bundle import (
     bundle_to_element,
     serialize_bundle,
 )
+from cingal.channels import CONTROL_LOG_SIZE, recv_frame, send_frame
 from cingal.documents import STATUS_FAILED, STATUS_OK, report_from_bytes
 from cingal.engine import generate_todolist
 from cingal.documents import todolist_content
 from cingal.errors import (
     ConnectFailed,
+    ControlError,
     DuplicateEntry,
     NameNotBound,
     UnknownEntryPoint,
@@ -162,6 +165,17 @@ class TestMachineLifecycle:
         assert report.all_ok
         assert wait_for(lambda: machine.state == TERMINATED)
 
+    def test_terminate_closes_idle_control_connections(self, node, keypair):
+        machine, _ = fire_local(node, make_signed(keypair[0], "tester"))
+        c = machine.connector
+        with socket.create_connection((c.host, c.machine_port)) as idle:
+            idle.settimeout(5.0)
+            send_frame(idle, xmlcanon.canonical_bytes(
+                xmlcanon.element("REQUEST", {"op": "STATUS"})))
+            assert recv_frame(idle) is not None  # served, now idle
+            remote.control_request(c.host, c.machine_port, "TERMINATE")
+            assert recv_frame(idle) is None
+
     def test_machines_registered_in_pbinder(self, node, keypair):
         machine, _ = fire_local(node, make_signed(keypair[0], "tester"))
         try:
@@ -238,6 +252,30 @@ class TestControlProtocol:
             assert 'op="CREATE"' in log[0][0]
             assert "port=" in log[0][1]
             assert 'op="STATUS"' in log[1][0]
+        finally:
+            machine.terminate()
+
+    def test_control_log_keeps_newest(self, node, keypair):
+        machine, _ = fire_local(node, make_signed(keypair[0], "tester"))
+        try:
+            c = machine.connector
+            for i in range(2 * CONTROL_LOG_SIZE):
+                remote.control_request(c.host, c.machine_port, "STATUS",
+                                       {"seq": str(i)})
+            seqs = [int(xmlcanon.parse_document(request).get("seq"))
+                    for request, _ in machine.cm.control_log]
+            assert seqs == list(range(CONTROL_LOG_SIZE, 2 * CONTROL_LOG_SIZE))
+        finally:
+            machine.terminate()
+
+    def test_read_default_times_out_on_live_machine(self, node, keypair):
+        machine, _ = fire_local(node, make_signed(keypair[0], "tester"))
+        try:
+            c = machine.connector
+            with pytest.raises(ControlError) as excinfo:
+                remote.control_request(c.host, c.machine_port,
+                                       "READ_DEFAULT", {"timeout": "0.2"})
+            assert excinfo.value.error_code == "Timeout"
         finally:
             machine.terminate()
 

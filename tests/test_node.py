@@ -1,3 +1,4 @@
+import socket
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -11,12 +12,13 @@ from cingal.errors import (
     CapabilityDenied,
     CorruptState,
     MalformedDocument,
+    PeerClosed,
     PortInUse,
     UnknownEntity,
 )
 from cingal.node import NodeConfig, ThinServer, read_default, write_default
 from cingal.security import ALL_RIGHTS, EntityRecord, parse_rights
-from conftest import make_bundle, make_signed, wait_for
+from conftest import make_bundle, make_signed, threads_back_to, wait_for
 
 
 def config_for(tmp_path, keypair, **overrides):
@@ -183,6 +185,34 @@ class TestFireDaemon:
             assert read_default(machine.connector, timeout=5.0) == b"probe"
         finally:
             machine.terminate()
+
+
+    def test_idle_fire_connection_closed_after_deadline(self, tmp_path,
+                                                        keypair):
+        server = ThinServer.start(config_for(tmp_path, keypair,
+                                             connect_timeout=0.5))
+        try:
+            with socket.create_connection(("127.0.0.1",
+                                           server.fire_port)) as idle:
+                idle.settimeout(5.0)
+                assert idle.recv(1) == b""  # closed by the node, no timeout
+        finally:
+            server.stop()
+
+    def test_stop_closes_live_fire_connection(self, tmp_path, keypair):
+        before = threading.active_count()
+        server = ThinServer.start(config_for(tmp_path, keypair))
+        server.ver.add(EntityRecord("tester", keypair[1],
+                                    parse_rights("FIRE:FIRE")))
+        handle = remote.fire(server.address, serialize_bundle(
+            make_signed(keypair[0], "tester")))  # demo.Echo
+        try:
+            server.stop()
+            with pytest.raises(PeerClosed, match="closed"):
+                handle.read(timeout=5.0)
+            assert threads_back_to(before), "fire connection still served"
+        finally:
+            handle.close()
 
 
 class TestPersistence:
