@@ -5,6 +5,8 @@ unsigned length prefix followed by the payload bytes. Named channels are
 point-to-point TCP links that third parties may connect, disconnect and
 reconnect while the owning bundle blocks on read/write; reads and writes
 on an unwired name simply wait for wiring to complete.
+A fired machine's default channel is its fire connection, a
+``SocketEndpoint`` at each end; a local progenitor gets a ``channel_pair``.
 
 Teardown: every socket is closed through ``close_socket``, so
 ``disconnect`` sends a FIN and the peer's end of the link ends too. A
@@ -172,7 +174,7 @@ class Connector:
                    int(el.get("resourcePort", "0")))
 
 
-# --- in-process channel pairs (default channels) -------------------------
+# --- default channels ----------------------------------------------------
 
 _CLOSED = object()  # queued behind the last message when a channel closes
 
@@ -228,6 +230,46 @@ def channel_pair(max_frame: int = DEFAULT_MAX_FRAME) -> tuple[ChannelEndpoint, C
     a, b = ChannelEndpoint(max_frame), ChannelEndpoint(max_frame)
     a._peer, b._peer = b, a
     return a, b
+
+
+class SocketEndpoint:
+    """One end of a default channel carried by a TCP connection; writes
+    and close wait for ``ready``, if given, while the socket's owner still
+    has a reply to send first."""
+
+    def __init__(self, sock: socket.socket,
+                 max_frame: int = DEFAULT_MAX_FRAME,
+                 ready: threading.Event | None = None):
+        self._sock = sock
+        self._max_frame = max_frame
+        self._ready = ready
+        self._send_lock = threading.Lock()
+
+    def write(self, payload: bytes) -> None:
+        if self._ready is not None:
+            self._ready.wait()
+        with self._send_lock:
+            try:
+                send_frame(self._sock, payload, self._max_frame)
+            except OSError as exc:
+                raise PeerClosed(str(exc)) from exc
+
+    def read(self, timeout: float | None = None) -> bytes:
+        """Next frame; PeerClosed at EOF, on error or after ``timeout``."""
+        try:
+            self._sock.settimeout(timeout)
+            frame = recv_frame(self._sock, self._max_frame)
+        except OSError as exc:  # socket.timeout included
+            raise PeerClosed(str(exc)) from exc
+        if frame is None:
+            raise PeerClosed("default channel closed")
+        return frame
+
+    def close(self) -> None:
+        # not under the send lock, which a writer blocked in sendall holds
+        if self._ready is not None:
+            self._ready.wait()
+        close_socket(self._sock)
 
 
 # --- named channels -------------------------------------------------------

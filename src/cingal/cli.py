@@ -15,12 +15,11 @@ from pathlib import Path
 from . import remote
 from .bundle import parse_bundle, serialize_bundle
 from .documents import report_from_bytes
-from .engine import ConnectionRef, DeploymentRecord, Engine, parse_ddd
+from .engine import DeploymentRecord, Engine, parse_connections, parse_ddd
 from .errors import CingalError, PhaseFailed
 from .machine import entity_bundle
 from .node import NodeConfig, ThinServer
 from .security import sign_bundle
-from .xmlcanon import parse_document
 
 
 def _read(path: str, parser: argparse.ArgumentParser) -> bytes:
@@ -139,24 +138,11 @@ def cmd_deploy(args, parser) -> int:
     return _finish_engine_op(engine, record, args.record, error)
 
 
-def _parse_connections(doc: bytes) -> list[ConnectionRef]:
-    root = parse_document(doc)
-    if root.tag != "CONNECTIONS":
-        raise CingalError(f"expected CONNECTIONS root, got {root.tag}")
-    refs = []
-    for conn in root.findall("CONNECTION"):
-        src, dst = conn.find("SOURCE"), conn.find("DESTINATION")
-        refs.append(ConnectionRef(
-            src.get("deployment", ""), src.get("channel", ""),
-            dst.get("deployment", ""), dst.get("channel", "")))
-    return refs
-
-
 def cmd_rewire(args, parser) -> int:
     engine = _make_engine(args, parser)
     try:
         record = DeploymentRecord.from_bytes(_read(args.record, parser))
-        connections = _parse_connections(_read(args.connections, parser))
+        connections = parse_connections(_read(args.connections, parser))
     except CingalError as exc:
         return _fail(str(exc))
     error = None

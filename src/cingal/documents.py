@@ -42,7 +42,7 @@ class ToDoList:
 
 
 def todolist_from_content(content: str) -> ToDoList:
-    root = xmlcanon.parse_fragment(content)
+    root = xmlcanon.parse_document(content)
     if root.tag != "TODOLIST":
         raise SchemaViolation(f"expected TODOLIST, got {root.tag}")
     tasks = []

@@ -89,6 +89,33 @@ class DDD:
     connections: tuple[ConnectionRef, ...]
 
 
+def connection_from_element(el) -> ConnectionRef:
+    """The connection named by a CONNECTION or CONNECTIONSTATE element."""
+    src, dst = el.find("SOURCE"), el.find("DESTINATION")
+    if src is None or dst is None:
+        raise SchemaViolation(f"{el.tag} needs SOURCE and DESTINATION")
+    return ConnectionRef(src.get("deployment", ""), src.get("channel", ""),
+                         dst.get("deployment", ""), dst.get("channel", ""))
+
+
+def connection_to_element(ref: ConnectionRef, tag: str = "CONNECTION",
+                          attrib: dict[str, str] | None = None):
+    return element(tag, attrib, children=[
+        element("SOURCE", {"deployment": ref.source_deployment,
+                           "channel": ref.source_channel}),
+        element("DESTINATION", {"deployment": ref.destination_deployment,
+                                "channel": ref.destination_channel}),
+    ])
+
+
+def parse_connections(doc: bytes | str) -> list[ConnectionRef]:
+    """The connections of a CONNECTIONS document, as ``rewire`` takes them."""
+    root = xmlcanon.parse_document(doc)
+    if root.tag != "CONNECTIONS":
+        raise SchemaViolation(f"expected CONNECTIONS root, got {root.tag}")
+    return [connection_from_element(e) for e in root.findall("CONNECTION")]
+
+
 def parse_ddd(doc: bytes | str) -> DDD:
     root = xmlcanon.parse_document(doc)
     return ddd_from_element(root)
@@ -110,17 +137,10 @@ def ddd_from_element(root) -> DDD:
         DeploymentRef(e.get("name", ""), e.get("bundle", ""),
                       e.get("target", ""))
         for e in section("DEPLOYMENTS"))
-    connections = []
-    for conn in section("CONNECTIONS"):
-        src, dst = conn.find("SOURCE"), conn.find("DESTINATION")
-        if src is None or dst is None:
-            raise SchemaViolation("CONNECTION needs SOURCE and DESTINATION")
-        connections.append(ConnectionRef(
-            src.get("deployment", ""), src.get("channel", ""),
-            dst.get("deployment", ""), dst.get("channel", "")))
+    connections = tuple(connection_from_element(e)
+                        for e in section("CONNECTIONS"))
 
-    ddd = DDD(root.get("name", ""), bundles, hosts, deployments,
-              tuple(connections))
+    ddd = DDD(root.get("name", ""), bundles, hosts, deployments, connections)
     _check_references(ddd)
     return ddd
 
@@ -161,13 +181,7 @@ def ddd_to_element(ddd: DDD):
                                    "target": d.target})
             for d in ddd.deployments]),
         element("CONNECTIONS", children=[
-            element("CONNECTION", children=[
-                element("SOURCE", {"deployment": c.source_deployment,
-                                   "channel": c.source_channel}),
-                element("DESTINATION",
-                        {"deployment": c.destination_deployment,
-                         "channel": c.destination_channel}),
-            ]) for c in ddd.connections]),
+            connection_to_element(c) for c in ddd.connections]),
     ])
 
 
@@ -277,13 +291,9 @@ class DeploymentRecord:
             dep_els.append(element("DEPLOYMENTSTATE", attrib,
                                    children=children))
         conn_els = [
-            element("CONNECTIONSTATE", {"status": c.status}, children=[
-                element("SOURCE", {"deployment": c.ref.source_deployment,
-                                   "channel": c.ref.source_channel}),
-                element("DESTINATION",
-                        {"deployment": c.ref.destination_deployment,
-                         "channel": c.ref.destination_channel}),
-            ]) for c in self.connections.values()]
+            connection_to_element(c.ref, "CONNECTIONSTATE",
+                                  {"status": c.status})
+            for c in self.connections.values()]
         host_els = [element("HOST", {"id": hid, "address": addr})
                     for hid, addr in sorted(self.hosts.items())]
         return xmlcanon.canonical_bytes(element(
@@ -313,11 +323,7 @@ class DeploymentRecord:
                 if conn_el is not None else None)
         connections = {}
         for e in root.find("CONNECTIONS") or []:
-            src, dst = e.find("SOURCE"), e.find("DESTINATION")
-            ref = ConnectionRef(src.get("deployment", ""),
-                                src.get("channel", ""),
-                                dst.get("deployment", ""),
-                                dst.get("channel", ""))
+            ref = connection_from_element(e)
             connections[ref.key] = ConnectionState(
                 ref, e.get("status", UNWIRED))
         return cls(root.get("name", ""), hosts, deployments, connections)

@@ -4,6 +4,8 @@ A machine wraps one executing bundle with the infrastructure it needs:
 a machine channel (TCP control endpoint for third parties), a default
 channel back to its progenitor, a connection manager for named channels,
 and a capability-checked API onto the node's store, binders and VER.
+A machine fired over TCP uses its fire connection as its default channel;
+READ_DEFAULT and WRITE_DEFAULT reach only a local progenitor's channel.
 
 Machines are isolated execution contexts inside the node daemon rather
 than separate OS processes; the external contract (connectors, channels,
@@ -28,6 +30,7 @@ from .channels import (
     ConnectionManager,
     Connector,
     NamedChannelEndpoint,
+    SocketEndpoint,
     channel_pair,
     recv_frame,
     send_frame,
@@ -106,7 +109,7 @@ class MachineApi:
         return self._machine
 
     @property
-    def default(self) -> ChannelEndpoint:
+    def default(self) -> ChannelEndpoint | SocketEndpoint:
         return self._machine.default_endpoint
 
     def channel(self, name: str) -> NamedChannelEndpoint:
@@ -122,10 +125,6 @@ class MachineApi:
         self._node.ver.require(self.entity, Service.STORE, Right.GET)
         return self._node.store.get(key)
 
-    def store_get_bytes(self, key: Guid) -> bytes:
-        self._node.ver.require(self.entity, Service.STORE, Right.GET)
-        return self._node.store.get_bytes(key)
-
     # --- binders ---------------------------------------------------------
 
     def sbinder_put(self, name: str, key: Guid) -> None:
@@ -140,17 +139,9 @@ class MachineApi:
         self._node.ver.require(self.entity, Service.SBINDER, Right.REMOVE)
         self._node.sbinder.remove(name)
 
-    def pbinder_put(self, name: str, value) -> None:
-        self._node.ver.require(self.entity, Service.PBINDER, Right.PUT)
-        self._node.pbinder.put(name, value)
-
     def pbinder_get(self, name: str):
         self._node.ver.require(self.entity, Service.PBINDER, Right.GET)
         return self._node.pbinder.get(name)
-
-    def pbinder_remove(self, name: str) -> None:
-        self._node.ver.require(self.entity, Service.PBINDER, Right.REMOVE)
-        self._node.pbinder.remove(name)
 
     # --- VER ---------------------------------------------------------------
 
@@ -177,7 +168,8 @@ class MachineApi:
 class Machine:
     """One fired bundle plus its channels, connection manager and servers."""
 
-    def __init__(self, node, bundle: Bundle, behavior):
+    def __init__(self, node, bundle: Bundle, behavior,
+                 default: SocketEndpoint | None = None):
         self.node = node
         self.bundle = bundle
         self.behavior = behavior
@@ -186,8 +178,9 @@ class Machine:
         self.state = RUNNING
         self.cm = ConnectionManager(node.host, node.max_frame,
                                     node.connect_timeout)
-        self.progenitor_endpoint, self.default_endpoint = channel_pair(
-            node.max_frame)
+        self.progenitor_endpoint, self.default_endpoint = (
+            channel_pair(node.max_frame) if default is None
+            else (None, default))
         self._control: Acceptor | None = None
         self._resource: Acceptor | None = None
         self.connector: Connector | None = None
@@ -222,13 +215,16 @@ class Machine:
         self._resource.close()
         self.cm.shutdown()
         self.default_endpoint.close()
-        self.progenitor_endpoint.close()
+        if self.progenitor_endpoint is not None:
+            self.progenitor_endpoint.close()
         self.node.unregister_machine(self)
         self.state = TERMINATED
 
     # --- machine channel (control) ------------------------------------------
 
     def _serve_control(self, sock) -> None:
+        # an idle connection may not hold this thread past the deadline
+        sock.settimeout(self.node.connect_timeout)
         while True:
             try:
                 frame = recv_frame(sock, self.node.max_frame)
@@ -264,7 +260,7 @@ class Machine:
                 children = [element("CHANNEL", {"name": n, "state": s})
                             for n, s in sorted(self.cm.states().items())]
                 resp = element("RESPONSE", {"status": "OK"}, children=children)
-            elif op == "READ_DEFAULT":
+            elif op == "READ_DEFAULT" and self.progenitor_endpoint is not None:
                 timeout = float(req.get("timeout", "5"))
                 msg = self.progenitor_endpoint.try_read(timeout)
                 if msg is None:
@@ -273,7 +269,7 @@ class Machine:
                 else:
                     resp = element("RESPONSE", {"status": "OK"},
                                    text=base64.b64encode(msg).decode("ascii"))
-            elif op == "WRITE_DEFAULT":
+            elif op == "WRITE_DEFAULT" and self.progenitor_endpoint is not None:
                 payload = base64.b64decode((req.text or "").strip() or b"")
                 self.progenitor_endpoint.write(payload)
                 resp = element("RESPONSE", {"status": "OK"})
@@ -312,14 +308,16 @@ class Machine:
         return self.cm.attach_inbound(frame.decode("utf-8", "replace"), sock)
 
 
-def spawn_machine(node, b: Bundle) -> tuple[Machine, ChannelEndpoint]:
+def spawn_machine(node, b: Bundle, default: SocketEndpoint | None = None
+                  ) -> tuple[Machine, ChannelEndpoint | None]:
     """Create and start a machine for a bundle on a node.
 
-    Returns the machine and the progenitor-facing default channel end.
-    Entity authorization happens at the fire gate before this is called.
+    Returns the machine and the progenitor-facing default channel end,
+    None when ``default``, the machine's end of its fire connection, is
+    given. Entity authorization happens at the fire gate before this.
     """
     behavior = node.executors.resolve(b)
-    machine = Machine(node, b, behavior)
+    machine = Machine(node, b, behavior, default)
     machine.start()
     return machine, machine.progenitor_endpoint
 
@@ -375,7 +373,7 @@ def tool_run(b: Bundle, api: MachineApi) -> TaskReport:
 
 
 def _task_connector(task: Task, datum_id: str) -> Connector:
-    el = xmlcanon.parse_fragment(task.datum_text(datum_id))
+    el = xmlcanon.parse_document(task.datum_text(datum_id))
     return Connector.from_element(el)
 
 

@@ -2,7 +2,7 @@
 
 One daemon per (address, fire port). The fire daemon accepts framed
 requests: a BUNDLE document is authenticated and fired, the connection
-then carrying the new machine's default channel; a STATUSREQUEST returns
+then being the new machine's own default channel; a STATUSREQUEST returns
 a status snapshot. Only the store, the service binder (sbinder) and the
 VER persist under the node's data directory and survive restarts; the
 process binder (pbinder) names live machines and stays in memory.
@@ -24,6 +24,7 @@ from .channels import (
     DEFAULT_CONNECT_TIMEOUT,
     DEFAULT_MAX_FRAME,
     Acceptor,
+    SocketEndpoint,
     recv_frame,
     send_frame,
 )
@@ -33,7 +34,6 @@ from .errors import (
     CorruptState,
     EntityNotFound,
     NotBound,
-    PeerClosed,
     PortInUse,
     SchemaViolation,
     UnknownEntity,
@@ -186,7 +186,7 @@ class ThinServer:
             return
         self._stopped = True
         if self._acceptor is not None:
-            self._acceptor.close()  # ends every fire connection too
+            self._acceptor.close()  # a fired machine's connection ends with it
         for m in self.machines():
             m.terminate()
         self.close()
@@ -228,17 +228,18 @@ class ThinServer:
 
     # --- firing ---------------------------------------------------------------
 
-    def fire(self, doc: bytes):
+    def fire(self, doc: bytes, default: SocketEndpoint | None = None):
         """Authenticate and execute a bundle document.
 
         Gate order: parse, VER lookup, signature check, FIRE:FIRE
         capability. On any failure no machine is created and no node
-        state changes. Returns (machine, progenitor default endpoint).
+        state changes. Returns (machine, progenitor default endpoint), or
+        (machine, None) when ``default`` is the machine's fire connection.
         """
         b = parse_bundle(doc)
         self._authenticate(b)
         self.ver.require(b.auth.entity, Service.FIRE, Right.FIRE)
-        return spawn_machine(self, b)
+        return spawn_machine(self, b, default)
 
     def spawn_verified(self, b: Bundle):
         """Spawn a bundle fired locally by an already-authorized machine.
@@ -261,15 +262,15 @@ class ThinServer:
 
     # --- fire daemon -------------------------------------------------------------
 
-    def _serve_fire(self, sock: socket.socket) -> None:
+    def _serve_fire(self, sock: socket.socket) -> bool:
         # an idle connection may not hold this thread past the deadline
         sock.settimeout(self.connect_timeout)
         try:
             frame = recv_frame(sock, self.max_frame)
         except (OSError, CingalError):
-            return
+            return False
         if frame is None:
-            return
+            return False
         sock.settimeout(None)
 
         tag = _peek_root_tag(frame)
@@ -278,58 +279,26 @@ class ThinServer:
                 send_frame(sock, self.status_bytes(), self.max_frame)
             except OSError:
                 pass
-            return
+            return False
 
+        # The machine may write or end at once; FIRERESULT goes out first.
+        sent = threading.Event()
         try:
-            machine, progenitor_end = self.fire(frame)
+            machine, _ = self.fire(
+                frame, SocketEndpoint(sock, self.max_frame, sent))
+            resp = element("FIRERESULT", {"status": "OK"},
+                           children=[element("CONNECTOR",
+                                             machine.connector.attrib())])
         except CingalError as exc:
+            machine = None
             resp = element("FIRERESULT", {"status": "ERROR", "error": exc.code},
                            text=str(exc))
-            try:
-                send_frame(sock, xmlcanon.canonical_bytes(resp), self.max_frame)
-            except OSError:
-                pass
-            return
-
-        resp = element("FIRERESULT", {"status": "OK"},
-                       children=[element("CONNECTOR",
-                                         machine.connector.attrib())])
         try:
             send_frame(sock, xmlcanon.canonical_bytes(resp), self.max_frame)
         except OSError:
-            return
-        # The open fire connection now carries the default channel.
-        threading.Thread(target=self._pump_out, args=(sock, progenitor_end),
-                         daemon=True).start()
-        self._pump_in(sock, progenitor_end)
-
-    def _pump_out(self, sock, progenitor_end) -> None:
-        while True:
-            try:
-                msg = progenitor_end.read()
-            except PeerClosed:
-                break
-            try:
-                send_frame(sock, msg, self.max_frame)
-            except OSError:
-                return
-        try:
-            sock.shutdown(socket.SHUT_WR)
-        except OSError:
             pass
-
-    def _pump_in(self, sock, progenitor_end) -> None:
-        while True:
-            try:
-                frame = recv_frame(sock, self.max_frame)
-            except (OSError, CingalError):
-                break
-            if frame is None:
-                break
-            try:
-                progenitor_end.write(frame)
-            except PeerClosed:
-                break
+        sent.set()
+        return machine is not None  # the socket is the machine's now
 
     # --- status -----------------------------------------------------------------
 

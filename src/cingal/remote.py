@@ -2,7 +2,8 @@
 
 Firing: open a TCP connection to a node's fire port, send one frame
 holding the bundle document, read one FIRERESULT frame. The connection
-then stays open as the default channel between progenitor and machine.
+then stays open as the default channel between progenitor and machine:
+the machine reads and writes the same socket, with no relay in the node.
 
 Machine-channel control: one REQUEST frame per exchange against a
 machine's machine port, answered by one RESPONSE frame.
@@ -17,6 +18,7 @@ from .channels import (
     DEFAULT_CONNECT_TIMEOUT,
     DEFAULT_MAX_FRAME,
     Connector,
+    SocketEndpoint,
     close_socket,
     recv_frame,
     send_frame,
@@ -30,35 +32,13 @@ def parse_address(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
-class FireHandle:
-    """Connector of the fired machine plus its default-channel transport."""
+class FireHandle(SocketEndpoint):
+    """A fire connection's client end plus the fired machine's connector."""
 
     def __init__(self, connector: Connector, sock: socket.socket,
                  max_frame: int = DEFAULT_MAX_FRAME):
+        super().__init__(sock, max_frame)
         self.connector = connector
-        self._sock = sock
-        self._max_frame = max_frame
-
-    def write(self, payload: bytes) -> None:
-        try:
-            send_frame(self._sock, payload, self._max_frame)
-        except OSError as exc:
-            raise PeerClosed(str(exc)) from exc
-
-    def read(self, timeout: float | None = None) -> bytes:
-        self._sock.settimeout(timeout)
-        try:
-            frame = recv_frame(self._sock, self._max_frame)
-        except socket.timeout as exc:
-            raise PeerClosed("timed out awaiting default-channel message") from exc
-        except OSError as exc:
-            raise PeerClosed(str(exc)) from exc
-        if frame is None:
-            raise PeerClosed("machine closed the default channel")
-        return frame
-
-    def close(self) -> None:
-        close_socket(self._sock)
 
 
 def fire(address: str, doc: bytes,

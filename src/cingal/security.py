@@ -253,8 +253,9 @@ class VER:
                 ]
                 entity_els.append(element("ENTITY", {"id": rec.entity},
                                           children=children))
-            doc = xmlcanon.canonical_bytes(element("VER", children=entity_els))
-        self._path.write_bytes(doc)
+            # under the lock, so the last write holds the newest state
+            self._path.write_bytes(
+                xmlcanon.canonical_bytes(element("VER", children=entity_els)))
 
     def _load(self) -> None:
         root = xmlcanon.parse_document(self._path.read_bytes())

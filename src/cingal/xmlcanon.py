@@ -119,11 +119,6 @@ def parse_document(doc: bytes | str) -> ET.Element:
         raise MalformedDocument(str(exc)) from exc
 
 
-def parse_fragment(content: str) -> ET.Element:
-    """Parse a canonical content string that holds exactly one element."""
-    return parse_document(content)
-
-
 def element(tag: str, attrib: dict[str, str] | None = None,
             children: list[ET.Element] | None = None,
             text: str | None = None) -> ET.Element:

@@ -233,6 +233,26 @@ class TestDeployCommands:
         record = DeploymentRecord.from_bytes(record_path.read_bytes())
         assert record.deployments["Src"].store_key is None
 
+    def test_rewire_connection_without_destination(self, tmp_path):
+        record_path = tmp_path / "record.xml"
+        record_path.write_text('<DEPLOYMENTRECORD name="r"><HOSTS/>'
+                               '<DEPLOYMENTS/><CONNECTIONS/>'
+                               '</DEPLOYMENTRECORD>')
+        connections_path = tmp_path / "half.xml"
+        connections_path.write_text(
+            '<CONNECTIONS><CONNECTION><SOURCE deployment="Src" '
+            'channel="Down"/></CONNECTION></CONNECTIONS>')
+        key_path = tmp_path / "deployer.key"
+        key_path.write_text(generate_keypair()[0])
+        result = run_cli("rewire", "--record", str(record_path),
+                         "--connections", str(connections_path),
+                         "--signer-entity", DEPLOYER_ENTITY,
+                         "--signer-key", str(key_path))
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        line, = result.stdout.strip().splitlines()
+        assert line.startswith("error:") and "DESTINATION" in line
+
     def test_deploy_missing_ddd_usage_error(self, topology):
         result = run_cli("deploy", "--ddd", "/no/such/ddd.xml",
                          *deployer_args(topology))

@@ -70,6 +70,15 @@ class TestParseDdd:
             parse_ddd(b"<BUNDLE/>")
 
 
+class TestDeploymentRecordDocument:
+    def test_connection_state_without_endpoints(self):
+        doc = ('<DEPLOYMENTRECORD name="r"><HOSTS/><DEPLOYMENTS/>'
+               '<CONNECTIONS><CONNECTIONSTATE status="UNWIRED"/></CONNECTIONS>'
+               '</DEPLOYMENTRECORD>')
+        with pytest.raises(SchemaViolation):
+            DeploymentRecord.from_bytes(doc)
+
+
 class TestGenerateTodolist:
     def test_install_shape(self):
         todo = generate_todolist("install", ["urn:cingal:a222jdd2s"])

@@ -1,4 +1,5 @@
 import socket
+import threading
 import time
 
 import pytest
@@ -17,13 +18,14 @@ from cingal.documents import STATUS_FAILED, STATUS_OK, report_from_bytes
 from cingal.engine import generate_todolist
 from cingal.documents import todolist_content
 from cingal.errors import (
+    CapabilityDenied,
     ConnectFailed,
     ControlError,
     DuplicateEntry,
     NameNotBound,
     UnknownEntryPoint,
 )
-from cingal.guid import compute_guid
+from cingal.guid import Guid, compute_guid
 from cingal.machine import (
     ENTRY_INSTALLER,
     ENTRY_RUNNER,
@@ -33,7 +35,7 @@ from cingal.machine import (
 )
 from cingal.node import NodeConfig, ThinServer
 from cingal.security import EntityRecord, parse_rights, sign_bundle
-from conftest import make_bundle, make_signed, wait_for
+from conftest import make_bundle, make_signed, threads_back_to, wait_for
 
 TESTER_RIGHTS = "STORE:PUT,GET;SBINDER:PUT,GET,REMOVE;FIRE:FIRE"
 
@@ -176,6 +178,32 @@ class TestMachineLifecycle:
             remote.control_request(c.host, c.machine_port, "TERMINATE")
             assert recv_frame(idle) is None
 
+    def test_idle_control_connections_closed_after_deadline(
+            self, tmp_path, keypair):
+        server = ThinServer.start(NodeConfig(
+            data_dir=str(tmp_path / "quick"), fire_port=0,
+            connect_timeout=0.5))
+        server.ver.add(EntityRecord("tester", keypair[1],
+                                    parse_rights("FIRE:FIRE")))
+        try:
+            machine, _ = fire_local(server, make_signed(keypair[0], "tester"))
+            c = machine.connector
+            before = threading.active_count()
+            idle = [socket.create_connection((c.host, c.machine_port))
+                    for _ in range(20)]
+            try:
+                for sock in idle:
+                    sock.settimeout(5.0)
+                    assert sock.recv(1) == b""  # closed by the machine
+                assert threads_back_to(before)
+            finally:
+                for sock in idle:
+                    sock.close()
+            resp = remote.control_request(c.host, c.machine_port, "STATUS")
+            assert resp.get("status") == "OK"
+        finally:
+            server.stop()
+
     def test_machines_registered_in_pbinder(self, node, keypair):
         machine, _ = fire_local(node, make_signed(keypair[0], "tester"))
         try:
@@ -288,6 +316,58 @@ class TestControlProtocol:
                 remote.control_request(c.host, c.machine_port, "DANCE")
         finally:
             machine.terminate()
+
+
+class TestSecureBinding:
+    """MachineApi's binder calls act only with the caller's rights."""
+
+    @staticmethod
+    def binder_user(b, api):
+        outcome = []
+        for call in (lambda: api.sbinder_put("svc", Guid("ab" * 16)),
+                     lambda: api.sbinder_get("svc"),
+                     lambda: api.sbinder_remove("svc"),
+                     lambda: api.pbinder_get(b.datum("Machine").content)):
+            try:
+                outcome.append(str(call()))
+            except CapabilityDenied:
+                outcome.append("denied")
+        api.default.write(",".join(outcome).encode())
+
+    def run_as(self, node, key, entity, echo):
+        b = make_signed(key, entity, entry="test.BinderUser",
+                        datums=[Datum("Machine", echo.machine_id.hex)])
+        machine, progenitor = fire_local(node, b)
+        outcome = progenitor.read().decode().split(",")
+        assert wait_for(lambda: machine.state == TERMINATED)
+        return outcome
+
+    def test_calls_with_rights(self, node, keypair):
+        node.executors.register("test.BinderUser", self.binder_user)
+        node.ver.add(EntityRecord("binder", keypair[1], parse_rights(
+            "SBINDER:PUT,GET,REMOVE;PBINDER:GET;FIRE:FIRE")))
+        echo, _ = fire_local(node, make_signed(keypair[0], "tester"))
+        try:
+            assert self.run_as(node, keypair[0], "binder", echo) == [
+                "None", str(Guid("ab" * 16)), "None", str(echo.connector)]
+            assert node.sbinder.names() == []
+        finally:
+            echo.terminate()
+
+    def test_calls_without_rights_change_nothing(self, node, keypair,
+                                                 second_keypair):
+        node.executors.register("test.BinderUser", self.binder_user)
+        node.sbinder.put("svc", Guid("cd" * 16))
+        echo, _ = fire_local(node, make_signed(keypair[0], "tester"))
+        try:
+            pbinder = {n: node.pbinder.get(n) for n in node.pbinder.names()}
+            assert self.run_as(node, second_keypair[0], "weak", echo) == \
+                ["denied"] * 4
+            assert node.sbinder.get("svc") == Guid("cd" * 16)
+            assert {n: node.pbinder.get(n)
+                    for n in node.pbinder.names()} == pbinder
+        finally:
+            echo.terminate()
 
 
 class TestTools:

@@ -10,6 +10,7 @@ from cingal.bundle import serialize_bundle
 from cingal.errors import (
     BadSignature,
     CapabilityDenied,
+    ControlError,
     CorruptState,
     MalformedDocument,
     PeerClosed,
@@ -213,6 +214,88 @@ class TestFireDaemon:
             assert threads_back_to(before), "fire connection still served"
         finally:
             handle.close()
+
+
+class TestFireConnection:
+    """The fire connection is the fired machine's default channel: no node
+    thread relays it, and either end closing it ends the other."""
+
+    def fire_many(self, node, keypair, n, entry="demo.Echo"):
+        doc = serialize_bundle(make_signed(keypair[0], "tester", entry=entry))
+        return [remote.fire(node.address, doc) for _ in range(n)]
+
+    def test_terminate_closes_fire_connection(self, node, keypair):
+        before = threading.active_count()
+        handles = self.fire_many(node, keypair, 10)
+        try:
+            for h in handles:
+                remote.control_request(h.connector.host,
+                                       h.connector.machine_port, "TERMINATE")
+            for h in handles:
+                with pytest.raises(PeerClosed, match="closed"):
+                    h.read(timeout=5.0)
+            assert threads_back_to(before), "fire connections still served"
+            assert node.machines() == []
+        finally:
+            for h in handles:
+                h.close()
+
+    def test_client_close_ends_machine(self, node, keypair):
+        handles = self.fire_many(node, keypair, 5)
+        assert len(node.machines()) == 5
+        for h in handles:
+            h.close()
+        assert wait_for(lambda: node.machines() == [])
+
+    def test_unread_writes_wait_in_tcp(self, node, keypair):
+        handle, = self.fire_many(node, keypair, 1, entry="demo.Source")
+        chunk = b"x" * (256 * 1024)
+        outcome = []
+
+        def writer():
+            try:
+                for _ in range(400):
+                    handle.write(chunk)
+                outcome.append("all written")
+            except PeerClosed:
+                outcome.append("PeerClosed")
+
+        t = threading.Thread(target=writer, daemon=True)
+        t.start()
+        try:
+            t.join(2.0)
+            assert t.is_alive(), "the node took every write off the wire"
+            c = handle.connector
+            remote.control_request(c.host, c.machine_port, "TERMINATE")
+            t.join(5.0)
+            assert not t.is_alive()
+            assert outcome == ["PeerClosed"]
+        finally:
+            handle.close()
+
+    def test_default_ops_refused_on_fired_machine(self, node, keypair):
+        handle, = self.fire_many(node, keypair, 1)
+        try:
+            c = handle.connector
+            for op in ("READ_DEFAULT", "WRITE_DEFAULT"):
+                with pytest.raises(ControlError) as excinfo:
+                    remote.control_request(c.host, c.machine_port, op,
+                                           {"timeout": "0.2"})
+                assert excinfo.value.error_code == "UnknownOp"
+            handle.write(b"still echoed")
+            assert handle.read(timeout=5.0) == b"still echoed"
+        finally:
+            handle.close()
+
+    def test_fireresult_precedes_an_immediate_end(self, node, keypair):
+        node.executors.register("test.Quick", lambda b, api: None)
+        for _ in range(200):
+            handle, = self.fire_many(node, keypair, 1, entry="test.Quick")
+            try:
+                with pytest.raises(PeerClosed, match="closed"):
+                    handle.read(timeout=5.0)
+            finally:
+                handle.close()
 
 
 class TestPersistence:

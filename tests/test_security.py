@@ -1,5 +1,8 @@
 import base64
+import threading
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +132,30 @@ class TestVer:
         assert rec.rights == parse_rights("STORE:PUT,GET")
         assert verify_bundle(
             sign_bundle(make_bundle(), keypair[0], "e1"), rec.certificate)
+
+    def test_concurrent_changes_leave_newest_on_disk(
+            self, tmp_path, keypair, second_keypair, monkeypatch):
+        path = tmp_path / "ver.doc"
+        v = VER(path)
+        rights = parse_rights("FIRE:FIRE")
+        real_write = Path.write_bytes
+        first_started = threading.Event()
+
+        def slow_first_write(self, data):
+            if self == path and not first_started.is_set():
+                first_started.set()
+                time.sleep(0.3)  # a concurrent add overtakes this write
+            return real_write(self, data)
+
+        monkeypatch.setattr(Path, "write_bytes", slow_first_write)
+        t = threading.Thread(target=v.add,
+                             args=(EntityRecord("a", keypair[1], rights),))
+        t.start()
+        assert first_started.wait(5.0)
+        v.add(EntityRecord("b", second_keypair[1], rights))
+        t.join(5.0)
+        assert not t.is_alive()
+        assert VER(path).entities() == v.entities() == ["a", "b"]
 
 
 class TestCapabilities:
