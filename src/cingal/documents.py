@@ -29,6 +29,9 @@ class Task:
     type: str
     datums: tuple[Datum, ...] = ()
 
+    def has_datum(self, datum_id: str) -> bool:
+        return any(d.id == datum_id for d in self.datums)
+
     def datum_text(self, datum_id: str) -> str:
         for d in self.datums:
             if d.id == datum_id:

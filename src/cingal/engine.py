@@ -4,9 +4,11 @@ A Deployment Description Document (DDD) statically describes bundles,
 hosts, component-to-host deployments and named-channel connections.
 The engine enacts a DDD in three strictly ordered phases — install, run,
 wire — by configuring generic tool bundles with to-do lists, firing them
-at the target nodes, and harvesting their task reports. It can then
-evolve the running topology by rewiring connections or moving components
-without restarting unaffected machines.
+at the target nodes, and harvesting their task reports. The wire phase
+fires one wirer per (source host, destination host) pair; that wirer
+fires one offspring at the destination host carrying all of the pair's
+connections. It can then evolve the running topology by rewiring
+connections or moving components without restarting unaffected machines.
 """
 
 from __future__ import annotations
@@ -499,54 +501,59 @@ class Engine:
                                   record) from exc
             self._note(PHASE_RUN, host_id, True)
 
-    def _wire_one(self, record: DeploymentRecord,
-                  conn: ConnectionState) -> None:
-        source = record.deployments[conn.ref.source_deployment]
-        dest = record.deployments[conn.ref.destination_deployment]
+    def _wire_group(self, record: DeploymentRecord, source_host: str,
+                    dest_host: str, conns: list[ConnectionState]) -> None:
+        deps = record.deployments
         todo = generate_todolist(
             PHASE_WIRE,
-            [(source.connector, dest.connector,
-              conn.ref.source_channel, conn.ref.destination_channel)],
+            [(deps[c.ref.source_deployment].connector,
+              deps[c.ref.destination_deployment].connector,
+              c.ref.source_channel, c.ref.destination_channel)
+             for c in conns],
             self.digest)
         tool = self._tool_bundle(ENTRY_WIRER, [
             Datum("ToDoList", todolist_content(todo)),
-            Datum("SecondaryFireAddress", record.hosts[dest.host]),
+            Datum("SecondaryFireAddress", record.hosts[dest_host]),
         ])
-        # The source deployment's host initiates; the offspring is fired
-        # at the destination host.
-        report = self._fire_tool(record.hosts[source.host], tool)
-        if not report.all_ok:
+        report = self._fire_tool(record.hosts[source_host], tool)
+        for conn, result in zip(conns, report.results):
+            if result.ok:
+                conn.status = CONNECTED
+        if not report.all_ok or len(report.results) != len(conns):
             raise SchemaViolation(_report_failure(report))
-        conn.status = CONNECTED
 
     def _wire_phase(self, record: DeploymentRecord,
                     connections: list[ConnectionState],
                     parallel: bool = True) -> None:
-        failures: list[tuple[ConnectionState, CingalError]] = []
+        groups: dict[tuple[str, str], list[ConnectionState]] = {}
+        for conn in connections:
+            pair = (record.deployments[conn.ref.source_deployment].host,
+                    record.deployments[conn.ref.destination_deployment].host)
+            groups.setdefault(pair, []).append(conn)
+        failures: list[tuple[str, CingalError]] = []
 
-        def run(conn: ConnectionState) -> None:
-            host_id = record.deployments[conn.ref.source_deployment].host
+        def run(pair: tuple[str, str], conns: list[ConnectionState]) -> None:
             try:
-                self._wire_one(record, conn)
-                self._note(PHASE_WIRE, host_id, True)
+                self._wire_group(record, *pair, conns)
+                self._note(PHASE_WIRE, pair[0], True)
             except CingalError as exc:
-                self._note(PHASE_WIRE, host_id, False)
-                failures.append((conn, exc))
+                self._note(PHASE_WIRE, pair[0], False)
+                failures.append((pair[0], exc))
 
-        if parallel and len(connections) > 1:
-            threads = [threading.Thread(target=run, args=(c,), daemon=True)
-                       for c in connections]
+        pairs = sorted(groups.items())
+        if parallel and len(pairs) > 1:
+            threads = [threading.Thread(target=run, args=item, daemon=True)
+                       for item in pairs]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join()
         else:
-            for conn in connections:
-                run(conn)
+            for item in pairs:
+                run(*item)
         record.refresh_states()
         if failures:
-            conn, exc = failures[0]
-            host_id = record.deployments[conn.ref.source_deployment].host
+            host_id, exc = failures[0]
             raise PhaseFailed(PHASE_WIRE, host_id, str(exc), record) from exc
 
     # --- evolution ----------------------------------------------------------------
@@ -582,8 +589,10 @@ class Engine:
                 phase_hook(PHASE_WIRE, record)
         return record
 
-    def _disconnect(self, record: DeploymentRecord,
-                    conn: ConnectionState) -> None:
+    def _disconnect(self, record: DeploymentRecord, conn: ConnectionState,
+                    leaving: str | None = None) -> None:
+        """DISCONNECT both ends, except the end of deployment ``leaving``,
+        which its TERMINATE closes."""
         ends = [
             (record.deployments[conn.ref.source_deployment],
              conn.ref.source_channel),
@@ -591,6 +600,8 @@ class Engine:
              conn.ref.destination_channel),
         ]
         for dep, channel in ends:
+            if dep.name == leaving:
+                continue
             try:
                 remote.control_request(dep.connector.host,
                                        dep.connector.machine_port,
@@ -615,7 +626,7 @@ class Engine:
 
         for conn in touching:
             if conn.status == CONNECTED:
-                self._disconnect(record, conn)
+                self._disconnect(record, conn, leaving=name)
         record.refresh_states()
         if phase_hook:
             phase_hook("unwire", record)

@@ -328,6 +328,10 @@ def _bundle_todolist(b: Bundle) -> ToDoList:
     return todolist_from_content(b.datum("ToDoList").content)
 
 
+def _failed(task: Task, code: str) -> TaskResult:
+    return TaskResult(task.guid, STATUS_FAILED, (("error", code),))
+
+
 def _send_report(api: MachineApi, report: TaskReport) -> None:
     api.default.write(report_to_bytes(report))
 
@@ -345,8 +349,7 @@ def tool_install(b: Bundle, api: MachineApi) -> TaskReport:
             results.append(TaskResult(task.guid, STATUS_OK,
                                       ((payload_ref, str(key)),)))
         except CingalError as exc:
-            results.append(TaskResult(task.guid, STATUS_FAILED,
-                                      (("error", exc.code),)))
+            results.append(_failed(task, exc.code))
     report = TaskReport(tuple(results))
     _send_report(api, report)
     return report
@@ -365,8 +368,7 @@ def tool_run(b: Bundle, api: MachineApi) -> TaskReport:
             results.append(TaskResult(task.guid, STATUS_OK,
                                       (("Connector", str(machine.connector)),)))
         except CingalError as exc:
-            results.append(TaskResult(task.guid, STATUS_FAILED,
-                                      (("error", exc.code),)))
+            results.append(_failed(task, exc.code))
     report = TaskReport(tuple(results))
     _send_report(api, report)
     return report
@@ -377,76 +379,78 @@ def _task_connector(task: Task, datum_id: str) -> Connector:
     return Connector.from_element(el)
 
 
-def _wire_as_initiator(b: Bundle, api: MachineApi, task: Task) -> TaskResult:
+def _listen(task: Task) -> Task:
+    """CREATE the primary end; the task again, with its ListeningPort."""
     primary = _task_connector(task, "PrimaryConnector")
-    primary_name = task.datum_text("PrimaryNamedChannel").strip()
-    secondary_fire = b.datum("SecondaryFireAddress").content.strip()
-
-    resp = remote.control_request(primary.host, primary.machine_port,
-                                  "CREATE", {"name": primary_name})
-    port = int(resp.get("port", "0"))
-
-    # The offspring carries the same task plus the listening port. Its code
-    # and authentication are copied verbatim from this wirer: the signature
-    # covers only the CODE section, which is identical.
-    offspring = Bundle(
-        auth=b.auth,
-        code=b.code,
-        data=(Datum("ToDoList", todolist_content(ToDoList((task,)))),
-              Datum("ListeningPort", str(port))),
-    )
-    handle = api.fire_remote(secondary_fire, serialize_bundle(offspring))
-    try:
-        offspring_report = report_from_bytes(handle.read(timeout=30.0))
-    finally:
-        handle.close()
-    if not offspring_report.all_ok:
-        error = "ConnectFailed"
-        for result in offspring_report.results:
-            for k, v in result.info:
-                if k == "error":
-                    error = v
-        return TaskResult(task.guid, STATUS_FAILED, (("error", error),))
-    return TaskResult(task.guid, STATUS_OK,
-                      (("ListeningPort", str(port)),
-                       ("PrimaryNamedChannel", primary_name)))
+    resp = remote.control_request(
+        primary.host, primary.machine_port, "CREATE",
+        {"name": task.datum_text("PrimaryNamedChannel").strip()})
+    return Task(task.guid, task.type,
+                task.datums + (Datum("ListeningPort", resp.get("port", "0")),))
 
 
-def _wire_as_offspring(b: Bundle, api: MachineApi, task: Task) -> TaskResult:
+def _connect(task: Task) -> TaskResult:
+    """CONNECT the secondary end to the task's ListeningPort."""
     primary = _task_connector(task, "PrimaryConnector")
     secondary = _task_connector(task, "SecondaryConnector")
     secondary_name = task.datum_text("SecondaryNamedChannel").strip()
-    port = int(b.datum("ListeningPort").content.strip())
+    port = task.datum_text("ListeningPort").strip()
     remote.control_request(secondary.host, secondary.machine_port, "CONNECT",
                            {"name": secondary_name, "host": primary.host,
-                            "port": str(port)})
+                            "port": port})
     return TaskResult(task.guid, STATUS_OK,
                       (("SecondaryNamedChannel", secondary_name),
-                       ("Port", str(port))))
+                       ("Port", port)))
+
+
+def _fire_offspring(b: Bundle, api: MachineApi,
+                    tasks: list[Task]) -> dict[str, TaskResult]:
+    """Fire one offspring at the secondary node to connect every task;
+    its report gives each task's result."""
+    # Code and authentication are copied verbatim from this wirer: the
+    # signature covers only the CODE section, which is identical.
+    offspring = Bundle(auth=b.auth, code=b.code, data=(
+        Datum("ToDoList", todolist_content(ToDoList(tuple(tasks)))),))
+    try:
+        handle = api.fire_remote(
+            b.datum("SecondaryFireAddress").content.strip(),
+            serialize_bundle(offspring))
+        try:
+            report = report_from_bytes(handle.read(timeout=30.0))
+        finally:
+            handle.close()
+    except CingalError as exc:
+        return {t.guid: _failed(t, exc.code) for t in tasks}
+    connected = {r.guid: r for r in report.results}
+    return {t.guid: connected.get(t.guid, _failed(t, "ConnectFailed"))
+            for t in tasks}
 
 
 def tool_wire(b: Bundle, api: MachineApi) -> TaskReport:
     """Connect one named-channel pair per WIRE task.
 
-    Without a ListeningPort datum this wirer initiates: it asks the primary
-    machine to listen, then fires an offspring at the secondary node which
-    connects back to that port. With a ListeningPort datum it is the
-    offspring and performs the connect.
+    A task without a ListeningPort datum is wired from here: this wirer
+    asks its primary machine to listen, then fires one offspring at the
+    secondary node carrying all such tasks, each with its own
+    ListeningPort datum. A task with a ListeningPort datum is connected
+    back to that port: that is the offspring's work.
     """
-    offspring_mode = b.has_datum("ListeningPort")
-    results = []
-    for task in _bundle_todolist(b).tasks:
+    results: dict[str, TaskResult] = {}
+    listening: list[Task] = []
+    tasks = _bundle_todolist(b).tasks
+    for task in tasks:
         try:
             if task.type != "WIRE":
                 raise SchemaViolation(f"wirer got a {task.type} task")
-            if offspring_mode:
-                results.append(_wire_as_offspring(b, api, task))
+            if task.has_datum("ListeningPort"):
+                results[task.guid] = _connect(task)
             else:
-                results.append(_wire_as_initiator(b, api, task))
+                listening.append(_listen(task))
         except CingalError as exc:
-            results.append(TaskResult(task.guid, STATUS_FAILED,
-                                      (("error", exc.code),)))
-    report = TaskReport(tuple(results))
+            results[task.guid] = _failed(task, exc.code)
+    if listening:
+        results.update(_fire_offspring(b, api, listening))
+    report = TaskReport(tuple(results[t.guid] for t in tasks))
     _send_report(api, report)
     return report
 

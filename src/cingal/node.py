@@ -33,6 +33,7 @@ from .errors import (
     CingalError,
     CorruptState,
     EntityNotFound,
+    MalformedDocument,
     NotBound,
     PortInUse,
     SchemaViolation,
@@ -126,6 +127,7 @@ class ThinServer:
         self.max_frame = config.max_frame
         self.connect_timeout = config.connect_timeout
         self.executors = default_registry()
+        self._signatures = SignatureMemo()
 
         data_dir = Path(config.data_dir)
         data_dir.mkdir(parents=True, exist_ok=True)
@@ -138,25 +140,32 @@ class ThinServer:
                 f"data dir {data_dir} is locked by another daemon") from exc
 
         try:
-            self.store = Store(data_dir / "store", config.digest)
-        except SchemaViolation as exc:
-            raise CorruptState(str(exc)) from exc
-        self._binder_path = data_dir / "binders.doc"
-        self.sbinder = Binder(on_change=self._persist_sbinder)
-        self.pbinder = Binder()
-        self.ver = VER(data_dir / "ver.doc")
-        self._signatures = SignatureMemo()
-        if config.admin_entity and config.admin_entity not in self.ver:
-            self.ver.add(EntityRecord(config.admin_entity,
-                                      config.admin_certificate,
-                                      config.admin_rights))
-        self._load_binders()
+            self._open_state(data_dir)
+        except BaseException:
+            self.close()  # a node that did not start holds no lock
+            raise
 
         self._machines: dict[str, Machine] = {}
         self._machines_lock = threading.Lock()
         self._acceptor: Acceptor | None = None
         self.fire_port: int | None = None
         self._stopped = False
+
+    def _open_state(self, data_dir: Path) -> None:
+        self._binder_path = data_dir / "binders.doc"
+        self.sbinder = Binder(on_change=self._persist_sbinder)
+        self.pbinder = Binder()
+        try:
+            self.store = Store(data_dir / "store", self.digest)
+            self.ver = VER(data_dir / "ver.doc")
+            self._load_binders()
+        except (MalformedDocument, SchemaViolation) as exc:
+            raise CorruptState(str(exc)) from exc
+        config = self.config
+        if config.admin_entity and config.admin_entity not in self.ver:
+            self.ver.add(EntityRecord(config.admin_entity,
+                                      config.admin_certificate,
+                                      config.admin_rights))
 
     # --- lifecycle ---------------------------------------------------------
 

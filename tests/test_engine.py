@@ -1,5 +1,6 @@
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -8,11 +9,15 @@ from cingal import remote
 from cingal.channels import Connector
 from cingal.engine import (
     CONNECTED,
+    DDD,
     DEFAULT_FIRE_PORT,
     UNWIRED,
+    BundleRef,
     ConnectionRef,
     DeploymentRecord,
+    DeploymentRef,
     Engine,
+    HostRef,
     ddd_to_element,
     generate_todolist,
     parse_ddd,
@@ -378,6 +383,137 @@ class TestMove:
         record = engine.deploy(two_node_ddd(topology))
         with pytest.raises(DanglingReference):
             engine.move_component(record, "CachingServer", "Z")
+
+
+def lifecycle_ddd(topo, pairs=8):
+    """Sources S<i> on host i mod 3 and sinks K<i> on host i+1 mod 3."""
+    hosts = tuple(HostRef(f"H{h}", n.address) for h, n in
+                  enumerate(topo.nodes))
+    paths = {"Source": topo.write_component("source", "demo.Source",
+                                            channel="Out"),
+             "Sink": topo.write_component("sink", "demo.Sink", channel="In")}
+    deployments = tuple(
+        [DeploymentRef(f"S{i}", "Source", f"H{i % 3}") for i in range(pairs)]
+        + [DeploymentRef(f"K{i}", "Sink", f"H{(i + 1) % 3}")
+           for i in range(pairs)])
+    return DDD("lifecycle", tuple(BundleRef(b, str(p))
+                                  for b, p in paths.items()),
+               hosts, deployments,
+               tuple(ConnectionRef(f"S{i}", "Out", f"K{i}", "In")
+                     for i in range(pairs)))
+
+
+def terminate_all(record):
+    for dep in record.deployments.values():
+        remote.control_request(dep.connector.host,
+                               dep.connector.machine_port, "TERMINATE")
+
+
+class TestWirePerHostPair:
+    def test_fires_one_wirer_and_one_offspring_per_host_pair(
+            self, topology, monkeypatch):
+        fired = []
+        real_fire = remote.fire
+
+        def counted(address, doc, *args):
+            fired.append(address)
+            return real_fire(address, doc, *args)
+
+        monkeypatch.setattr(remote, "fire", counted)
+        engine = topology.engine()
+        record = engine.deploy(lifecycle_ddd(topology))
+        # 3 installers + 3 runners + 3 host pairs x (wirer + offspring)
+        assert len(fired) == 12
+        fired.clear()
+        # S7 -> K0 is a same-host pair, so the rotation wires 4 groups
+        engine.rewire(record, [ConnectionRef(f"S{i}", "Out",
+                                             f"K{(i + 1) % 8}", "In")
+                               for i in range(8)])
+        assert len(fired) == 8
+        fired.clear()
+        engine.move_component(record, "K3", "H0")
+        assert len(fired) == 4
+        for i in range(8):
+            sink = f"K{(i + 1) % 8}"
+            assert topology.probe(record, f"S{i}", sink,
+                                  b"to-" + sink.encode()) == \
+                b"to-" + sink.encode()
+        terminate_all(record)
+
+    def test_parallel_and_serial_wiring_agree(self, topology):
+        ddd = lifecycle_ddd(topology, pairs=4)
+        # a same-host pair next to the three cross-host ones
+        ddd = replace(ddd, connections=ddd.connections + (
+            ConnectionRef("K0", "Out", "S1", "In"),))
+        results = []
+        for parallel in (True, False):
+            engine = topology.engine()
+            record = engine.deploy(ddd, parallel_wire=parallel)
+            pairs = {(record.deployments[c.ref.source_deployment].host,
+                      record.deployments[c.ref.destination_deployment].host)
+                     for c in record.connections.values()}
+            assert len(pairs) == 4 and ("H1", "H1") in pairs
+            results.append((record.comparable(), sorted(engine.progress)))
+            terminate_all(record)
+        assert results[0] == results[1]
+        wire_lines = [line for line in results[0][1]
+                      if line.startswith("phase:wire")]
+        assert wire_lines == ["phase:wire node:H0 status:ok",
+                              "phase:wire node:H1 status:ok",
+                              "phase:wire node:H1 status:ok",
+                              "phase:wire node:H2 status:ok"]
+
+    def test_failed_connection_in_a_group(self, topology):
+        ddd = lifecycle_ddd(topology, pairs=2)
+        ddd = replace(ddd, deployments=tuple(
+            replace(d, target="H0" if d.name.startswith("S") else "H1")
+            for d in ddd.deployments))
+
+        def stop_k1(phase, record):
+            if phase == "run":  # K1's connector goes stale before wiring
+                dep = record.deployments["K1"]
+                remote.control_request(dep.connector.host,
+                                       dep.connector.machine_port,
+                                       "TERMINATE")
+
+        engine = topology.engine()
+        with pytest.raises(PhaseFailed) as excinfo:
+            engine.deploy(ddd, phase_hook=stop_k1)
+        failure = excinfo.value
+        assert failure.phase == "wire" and failure.node == "H0"
+        status = {c.ref.destination_deployment: c.status
+                  for c in failure.record.connections.values()}
+        assert status == {"K0": CONNECTED, "K1": UNWIRED}
+        assert topology.probe(failure.record, "S0", "K0", b"ok") == b"ok"
+        for name in ("S0", "S1", "K0"):
+            dep = failure.record.deployments[name]
+            remote.control_request(dep.connector.host,
+                                   dep.connector.machine_port, "TERMINATE")
+
+
+class TestMoveControlOps:
+    def test_move_disconnects_only_the_staying_end(self, topology,
+                                                   monkeypatch):
+        engine = topology.engine()
+        record = engine.deploy(two_node_ddd(topology))
+        source = record.deployments["PrimaryServer"].connector
+        sink = record.deployments["CachingServer"].connector
+        ops = []
+        real_request = remote.control_request
+
+        def recorded(host, port, op, *args, **kwargs):
+            ops.append((op, port))
+            return real_request(host, port, op, *args, **kwargs)
+
+        monkeypatch.setattr(remote, "control_request", recorded)
+        engine.move_component(record, "CachingServer", "C")
+        teardown = [o for o in ops if o[0] in ("DISCONNECT", "TERMINATE")]
+        assert teardown == [("DISCONNECT", source.machine_port),
+                            ("TERMINATE", sink.machine_port)]
+        monkeypatch.undo()
+        assert topology.probe(record, "PrimaryServer", "CachingServer",
+                              b"moved") == b"moved"
+        terminate_all(record)
 
 
 class TestTeardown:

@@ -13,7 +13,7 @@ from cingal.bundle import (
     bundle_to_element,
     serialize_bundle,
 )
-from cingal.channels import CONTROL_LOG_SIZE, recv_frame, send_frame
+from cingal.channels import CONTROL_LOG_SIZE, Connector, recv_frame, send_frame
 from cingal.documents import STATUS_FAILED, STATUS_OK, report_from_bytes
 from cingal.engine import generate_todolist
 from cingal.documents import todolist_content
@@ -437,6 +437,83 @@ class TestTools:
         finally:
             m_src.terminate()
             m_dst.terminate()
+
+
+class TestBatchedWirer:
+    """One wirer carries many WIRE tasks and fires one offspring for all."""
+
+    @pytest.fixture
+    def pair(self, node, keypair):
+        source = make_signed(keypair[0], "tester", entry="demo.Source",
+                             datums=[Datum("ChannelName", "Down")])
+        sink = make_signed(keypair[0], "tester", entry="demo.Sink",
+                           datums=[Datum("ChannelName", "Up")])
+        (m_src, p_src), (m_dst, p_dst) = (fire_local(node, source),
+                                          fire_local(node, sink))
+        yield m_src, p_src, m_dst, p_dst
+        m_src.terminate()
+        m_dst.terminate()
+
+    @pytest.fixture
+    def offspring_fires(self, monkeypatch):
+        from cingal.machine import MachineApi
+        fired = []
+        real = MachineApi.fire_remote
+
+        def counted(api, address, doc):
+            fired.append(address)
+            return real(api, address, doc)
+
+        monkeypatch.setattr(MachineApi, "fire_remote", counted)
+        return fired
+
+    @staticmethod
+    def wire(node, keypair, wires):
+        from cingal.machine import ENTRY_WIRER
+        wirer = sign_bundle(Bundle(
+            auth=Authentication("", ""),
+            code=CodeSection(ENTRY_WIRER, "builtin"),
+            data=(Datum("ToDoList", todolist_content(
+                      generate_todolist("wire", wires))),
+                  Datum("SecondaryFireAddress", node.address)),
+        ), keypair[0], "tester")
+        _, p_wirer = fire_local(node, wirer)
+        return report_from_bytes(p_wirer.read())
+
+    def test_two_tasks_fire_one_offspring(self, node, keypair, pair,
+                                          offspring_fires):
+        m_src, p_src, m_dst, p_dst = pair
+        report = self.wire(node, keypair, [
+            (m_src.connector, m_dst.connector, "Down", "Up"),
+            (m_dst.connector, m_src.connector, "Back", "Return")])
+        assert report.all_ok, report
+        assert len(report.results) == 2
+        assert offspring_fires == [node.address]
+        for m, name in ((m_src, "Down"), (m_dst, "Up"), (m_dst, "Back"),
+                        (m_src, "Return")):
+            assert wait_for(lambda: m.cm.state(name) == "CONNECTED"), name
+        p_src.write(b"downstream")
+        assert p_dst.read() == b"downstream"
+        m_dst.cm.endpoint("Back").write(b"upstream")
+        assert m_src.cm.endpoint("Return").read() == b"upstream"
+
+    def test_one_failed_task_leaves_the_other_wired(self, node, keypair,
+                                                    pair, offspring_fires):
+        m_src, p_src, m_dst, p_dst = pair
+        probe = socket.create_server(("127.0.0.1", 0))
+        closed = probe.getsockname()[1]
+        probe.close()
+        report = self.wire(node, keypair, [
+            (m_src.connector, Connector("127.0.0.1", closed, closed),
+             "Spare", "Nowhere"),
+            (m_src.connector, m_dst.connector, "Down", "Up")])
+        bad, good = report.results
+        assert bad.status == STATUS_FAILED
+        assert bad.info_value("error") == "ConnectFailed"
+        assert good.status == STATUS_OK
+        assert offspring_fires == [node.address]
+        p_src.write(b"still-wired")
+        assert p_dst.read() == b"still-wired"
 
 
 class TestCapabilityConfinement:

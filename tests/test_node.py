@@ -413,6 +413,38 @@ class TestPersistence:
             reborn.stop()
 
 
+class TestTornState:
+    """A state file cut short refuses the start with CorruptState, and a
+    start that failed leaves the data directory free."""
+
+    @staticmethod
+    def tear(tmp_path, keypair, name: str) -> bytes:
+        server = ThinServer.start(config_for(tmp_path, keypair))
+        server.sbinder.put("Server", server.store.put(make_bundle()))
+        server.stop()
+        path = tmp_path / "node" / name
+        whole = path.read_bytes()
+        path.write_bytes(whole[:len(whole) // 2])
+        return whole
+
+    @pytest.mark.parametrize("name", ["ver.doc", "binders.doc"])
+    def test_torn_file_is_corrupt_state(self, tmp_path, keypair, name):
+        self.tear(tmp_path, keypair, name)
+        with pytest.raises(CorruptState):
+            ThinServer(config_for(tmp_path, keypair))
+
+    def test_failed_start_releases_lock(self, tmp_path, keypair):
+        whole = self.tear(tmp_path, keypair, "ver.doc")
+        with pytest.raises((CorruptState, MalformedDocument)):
+            ThinServer(config_for(tmp_path, keypair))
+        (tmp_path / "node" / "ver.doc").write_bytes(whole)
+        reborn = ThinServer.start(config_for(tmp_path, keypair))
+        try:
+            assert "admin" in reborn.ver
+        finally:
+            reborn.stop()
+
+
 class TestExclusivity:
     def test_port_in_use(self, tmp_path, keypair, node):
         with pytest.raises(PortInUse):
