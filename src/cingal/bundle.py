@@ -62,13 +62,11 @@ class Bundle:
         return replace(self, data=tuple(data))
 
 
-def parse_bundle(doc: bytes | str) -> Bundle:
-    """Parse a bundle document; nested bundles in datums stay verbatim."""
-    root = xmlcanon.parse_document(doc)
-    return bundle_from_element(root)
-
-
-def bundle_from_element(root) -> Bundle:
+def parse_bundle(doc) -> Bundle:
+    """Parse a bundle document, given as bytes, text or its already
+    parsed root element; nested bundles in datums stay verbatim."""
+    root = (xmlcanon.parse_document(doc) if isinstance(doc, (bytes, str))
+            else doc)
     if root.tag != "BUNDLE":
         raise SchemaViolation(f"expected BUNDLE root, got {root.tag}")
 

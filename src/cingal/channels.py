@@ -70,6 +70,18 @@ def recv_frame(sock: socket.socket,
     return _recv_exact(sock, length)
 
 
+def recv_frame_within(sock: socket.socket, max_frame: int,
+                      timeout: float) -> bytes | None:
+    """Next frame from an untrusted peer, or None at EOF, on a socket
+    error, on an oversize frame or when the peer stays silent for
+    ``timeout`` seconds. The socket keeps that timeout."""
+    try:
+        sock.settimeout(timeout)
+        return recv_frame(sock, max_frame)
+    except (OSError, FrameTooLarge):  # socket.timeout included
+        return None
+
+
 def close_socket(sock: socket.socket | None) -> None:
     """Close a socket and wake any thread blocked on it.
 
@@ -233,21 +245,17 @@ def channel_pair(max_frame: int = DEFAULT_MAX_FRAME) -> tuple[ChannelEndpoint, C
 
 
 class SocketEndpoint:
-    """One end of a default channel carried by a TCP connection; writes
-    and close wait for ``ready``, if given, while the socket's owner still
-    has a reply to send first."""
+    """One end of a default channel carried by a TCP connection, which it
+    puts in blocking mode; concurrent writes are serialised."""
 
     def __init__(self, sock: socket.socket,
-                 max_frame: int = DEFAULT_MAX_FRAME,
-                 ready: threading.Event | None = None):
+                 max_frame: int = DEFAULT_MAX_FRAME):
+        sock.settimeout(None)
         self._sock = sock
         self._max_frame = max_frame
-        self._ready = ready
         self._send_lock = threading.Lock()
 
     def write(self, payload: bytes) -> None:
-        if self._ready is not None:
-            self._ready.wait()
         with self._send_lock:
             try:
                 send_frame(self._sock, payload, self._max_frame)
@@ -267,8 +275,6 @@ class SocketEndpoint:
 
     def close(self) -> None:
         # not under the send lock, which a writer blocked in sendall holds
-        if self._ready is not None:
-            self._ready.wait()
         close_socket(self._sock)
 
 
@@ -390,7 +396,6 @@ class ConnectionManager:
         try:
             sock = socket.create_connection((host, port),
                                             timeout=self._connect_timeout)
-            sock.settimeout(None)
         except OSError as exc:
             raise ConnectFailed(f"{host}:{port}: {exc}") from exc
         with self._lock:
@@ -401,6 +406,7 @@ class ConnectionManager:
 
     def _attach(self, ch: _NamedChannel, sock: socket.socket) -> None:
         # caller holds self._lock
+        sock.settimeout(None)
         ch.sock = sock
         ch.state = CONNECTED
         self._changed.notify_all()

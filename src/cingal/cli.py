@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import remote
 from .bundle import parse_bundle, serialize_bundle
-from .documents import report_from_bytes
+from .documents import read_report
 from .engine import DeploymentRecord, Engine, parse_connections, parse_ddd
 from .errors import CingalError, PhaseFailed
 from .machine import entity_bundle
@@ -85,11 +85,8 @@ def cmd_entity(args, parser) -> int:
     unsigned = entity_bundle(args.action, args.id, cert, args.rights)
     try:
         signed = sign_bundle(unsigned, signer_key, args.signer_entity)
-        handle = remote.fire(args.node, serialize_bundle(signed))
-        try:
-            report = report_from_bytes(handle.read(timeout=15.0))
-        finally:
-            handle.close()
+        report = read_report(remote.fire(args.node, serialize_bundle(signed)),
+                             15.0)
     except CingalError as exc:
         return _fail(str(exc))
     if not report.all_ok:

@@ -2,7 +2,8 @@
 
 A to-do list rides inside a tool bundle's ``ToDoList`` datum and names
 the tasks the tool performs on arrival. The task report is the per-task
-outcome document the tool writes back over its default channel.
+outcome document the tool writes back over its default channel, where
+``read_report`` takes it.
 
 Schemas: TODOLIST > TASK@guid@type > DATUM@id*
          TASKREPORT > TASKRESULT@guid@status > INFO@key (text value)
@@ -132,3 +133,12 @@ def report_from_bytes(doc: bytes | str) -> TaskReport:
                                   status=res_el.get("status", ""),
                                   info=info))
     return TaskReport(results=tuple(results))
+
+
+def read_report(handle, timeout: float) -> TaskReport:
+    """The task report a fired tool writes on its default channel
+    ``handle``, read within ``timeout`` seconds; closes the handle."""
+    try:
+        return report_from_bytes(handle.read(timeout=timeout))
+    finally:
+        handle.close()

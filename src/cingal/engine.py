@@ -22,7 +22,7 @@ from . import remote, xmlcanon
 from .bundle import Authentication, Bundle, CodeSection, Datum, parse_bundle
 from .bundle import bundle_to_element, serialize_bundle
 from .channels import Connector
-from .documents import Task, TaskReport, ToDoList, report_from_bytes, todolist_content
+from .documents import Task, TaskReport, ToDoList, read_report, todolist_content
 from .errors import (
     CingalError,
     DanglingReference,
@@ -395,11 +395,8 @@ class Engine:
         return Bundle(self._tool_auth[entry], code, tuple(datums))
 
     def _fire_tool(self, address: str, tool: Bundle) -> TaskReport:
-        handle = remote.fire(address, serialize_bundle(tool))
-        try:
-            return report_from_bytes(handle.read(timeout=self.report_timeout))
-        finally:
-            handle.close()
+        return read_report(remote.fire(address, serialize_bundle(tool)),
+                           self.report_timeout)
 
     def _note(self, phase: str, node: str, ok: bool) -> None:
         self.progress.append(
@@ -443,16 +440,20 @@ class Engine:
         return by_host
 
     def _install_phase(self, record: DeploymentRecord, names=None) -> None:
+        payloads: dict[str, tuple[str, str]] = {}  # source -> (id, content)
         for host_id, deps in sorted(
                 self._deployments_by_host(record, names).items()):
             address = record.hosts[host_id]
             payload_datums, payload_ids = [], []
             expected = {}
             for dep in deps:
-                payload = self.load_bundle_source(dep.source)
-                content = xmlcanon.canonical(bundle_to_element(payload))
-                payload_id = str(compute_guid(content.encode("utf-8"),
-                                              self.digest))
+                if dep.source not in payloads:
+                    content = xmlcanon.canonical(bundle_to_element(
+                        self.load_bundle_source(dep.source)))
+                    payloads[dep.source] = (
+                        str(compute_guid(content.encode("utf-8"),
+                                         self.digest)), content)
+                payload_id, content = payloads[dep.source]
                 if payload_id not in expected:
                     payload_datums.append(Datum(payload_id, content))
                     payload_ids.append(payload_id)

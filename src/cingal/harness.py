@@ -17,10 +17,12 @@ from pathlib import Path
 
 from . import remote, xmlcanon
 from .bundle import Authentication, Bundle, CodeSection, Datum, serialize_bundle
+from .documents import read_report
 from .engine import DeploymentRecord, Engine, parse_ddd
 from .errors import AssertionFailed, CingalError, ResourceExhausted
+from .machine import entity_bundle
 from .node import NodeConfig, ThinServer, read_default, write_default
-from .security import EntityRecord, generate_keypair, parse_rights
+from .security import EntityRecord, generate_keypair, parse_rights, sign_bundle
 from .xmlcanon import element
 
 ADMIN_ENTITY = "harness-admin"
@@ -62,8 +64,6 @@ class TestTopology:
                         signer_entity: str = DEPLOYER_ENTITY,
                         signer_key: str | None = None) -> Path:
         """Create a signed component bundle file in the topology dir."""
-        from .security import sign_bundle
-
         datums = [Datum("ChannelName", channel)] if channel else []
         unsigned = Bundle(auth=Authentication("", ""),
                           code=CodeSection(entry, "builtin"),
@@ -175,20 +175,12 @@ def _provision_deployer(topology: TestTopology,
 
 
 def _fire_entity_add(address: str, topology: TestTopology) -> None:
-    from .machine import entity_bundle
-    from .security import sign_bundle
-
     unsigned = entity_bundle("ADD", DEPLOYER_ENTITY, topology.deployer_cert,
                              DEPLOYER_RIGHTS)
     signed = sign_bundle(unsigned, topology.admin_key, ADMIN_ENTITY)
-    handle = remote.fire(address, serialize_bundle(signed))
-    try:
-        from .documents import report_from_bytes
-        report = report_from_bytes(handle.read(timeout=10.0))
-        if not report.all_ok:
-            raise ResourceExhausted("deployer provisioning failed")
-    finally:
-        handle.close()
+    report = read_report(remote.fire(address, serialize_bundle(signed)), 10.0)
+    if not report.all_ok:
+        raise ResourceExhausted("deployer provisioning failed")
 
 
 # --- machine/channel state helpers -------------------------------------------

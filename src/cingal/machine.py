@@ -4,8 +4,9 @@ A machine wraps one executing bundle with the infrastructure it needs:
 a machine channel (TCP control endpoint for third parties), a default
 channel back to its progenitor, a connection manager for named channels,
 and a capability-checked API onto the node's store, binders and VER.
-A machine fired over TCP uses its fire connection as its default channel;
-READ_DEFAULT and WRITE_DEFAULT reach only a local progenitor's channel.
+A machine fired over TCP uses its fire connection as its default channel,
+and writes the OK FIRERESULT on it before its behaviour runs; READ_DEFAULT
+and WRITE_DEFAULT reach only a local progenitor's channel.
 
 Machines are isolated execution contexts inside the node daemon rather
 than separate OS processes; the external contract (connectors, channels,
@@ -32,7 +33,7 @@ from .channels import (
     NamedChannelEndpoint,
     SocketEndpoint,
     channel_pair,
-    recv_frame,
+    recv_frame_within,
     send_frame,
 )
 from .documents import (
@@ -42,7 +43,7 @@ from .documents import (
     TaskReport,
     TaskResult,
     ToDoList,
-    report_from_bytes,
+    read_report,
     report_to_bytes,
     todolist_content,
     todolist_from_content,
@@ -50,12 +51,11 @@ from .documents import (
 from .errors import (
     CingalError,
     DuplicateEntry,
-    PeerClosed,
     SchemaViolation,
     UnknownEntryPoint,
 )
 from .guid import Guid, fresh_guid
-from .security import Right, Service
+from .security import EntityRecord, Right, Service, parse_rights
 from .xmlcanon import element
 
 ENTRY_INSTALLER = "uk.ac.stand.cingal.Installer"
@@ -199,10 +199,10 @@ class Machine:
 
     def _run_executor(self) -> None:
         try:
+            if self.progenitor_endpoint is None:  # fired over the fire port
+                self.default_endpoint.write(remote.fire_result(self.connector))
             self.behavior(self.bundle, MachineApi(self.node, self))
-        except PeerClosed:
-            pass
-        except CingalError:
+        except CingalError:  # PeerClosed included
             pass
         finally:
             self.terminate()
@@ -223,13 +223,10 @@ class Machine:
     # --- machine channel (control) ------------------------------------------
 
     def _serve_control(self, sock) -> None:
-        # an idle connection may not hold this thread past the deadline
-        sock.settimeout(self.node.connect_timeout)
         while True:
-            try:
-                frame = recv_frame(sock, self.node.max_frame)
-            except (OSError, CingalError):
-                return
+            # an idle connection may not hold this thread past the deadline
+            frame = recv_frame_within(sock, self.node.max_frame,
+                                      self.node.connect_timeout)
             if frame is None:
                 return
             response, terminate = self._handle_control(frame)
@@ -297,14 +294,10 @@ class Machine:
     def _serve_resource(self, sock) -> bool:
         # Data connections may also arrive here; the first frame names the
         # LISTENING channel the peer wants to attach to.
-        try:
-            sock.settimeout(self.node.connect_timeout)
-            frame = recv_frame(sock, self.node.max_frame)
-        except (OSError, CingalError):
-            return False
+        frame = recv_frame_within(sock, self.node.max_frame,
+                                  self.node.connect_timeout)
         if frame is None:
             return False
-        sock.settimeout(None)
         return self.cm.attach_inbound(frame.decode("utf-8", "replace"), sock)
 
 
@@ -332,46 +325,46 @@ def _failed(task: Task, code: str) -> TaskResult:
     return TaskResult(task.guid, STATUS_FAILED, (("error", code),))
 
 
-def _send_report(api: MachineApi, report: TaskReport) -> None:
+def _report(api: MachineApi, results) -> TaskReport:
+    """Write the task report of ``results`` to the progenitor; return it."""
+    report = TaskReport(tuple(results))
     api.default.write(report_to_bytes(report))
+    return report
+
+
+def _run_tasks(b: Bundle, api: MachineApi, task_type: str,
+               perform) -> TaskReport:
+    """Run each task of the bundle's to-do list through ``perform(task)``,
+    which returns the task's info pairs; a task of another type, or one
+    that raises, fails alone. Sends the report and returns it."""
+    results = []
+    for task in _bundle_todolist(b).tasks:
+        try:
+            if task.type != task_type:
+                raise SchemaViolation(
+                    f"{task_type} tool got a {task.type} task")
+            results.append(TaskResult(task.guid, STATUS_OK, perform(task)))
+        except CingalError as exc:
+            results.append(_failed(task, exc.code))
+    return _report(api, results)
 
 
 def tool_install(b: Bundle, api: MachineApi) -> TaskReport:
     """Store each payload bundle named by an INSTALL task; report the keys."""
-    results = []
-    for task in _bundle_todolist(b).tasks:
-        try:
-            if task.type != "INSTALL":
-                raise SchemaViolation(f"installer got a {task.type} task")
-            payload_ref = task.datum_text("PayloadRef").strip()
-            payload = nested_bundle(b.datum(payload_ref))
-            key = api.store_put(payload)
-            results.append(TaskResult(task.guid, STATUS_OK,
-                                      ((payload_ref, str(key)),)))
-        except CingalError as exc:
-            results.append(_failed(task, exc.code))
-    report = TaskReport(tuple(results))
-    _send_report(api, report)
-    return report
+    def install(task: Task):
+        payload_ref = task.datum_text("PayloadRef").strip()
+        key = api.store_put(nested_bundle(b.datum(payload_ref)))
+        return ((payload_ref, str(key)),)
+    return _run_tasks(b, api, "INSTALL", install)
 
 
 def tool_run(b: Bundle, api: MachineApi) -> TaskReport:
     """Fire each stored bundle named by a RUN task; report its connector."""
-    results = []
-    for task in _bundle_todolist(b).tasks:
-        try:
-            if task.type != "RUN":
-                raise SchemaViolation(f"runner got a {task.type} task")
-            key = Guid(task.datum_text("StoreGuid").strip())
-            stored = api.store_get(key)
-            machine = api.spawn(stored)
-            results.append(TaskResult(task.guid, STATUS_OK,
-                                      (("Connector", str(machine.connector)),)))
-        except CingalError as exc:
-            results.append(_failed(task, exc.code))
-    report = TaskReport(tuple(results))
-    _send_report(api, report)
-    return report
+    def run(task: Task):
+        key = Guid(task.datum_text("StoreGuid").strip())
+        machine = api.spawn(api.store_get(key))
+        return (("Connector", str(machine.connector)),)
+    return _run_tasks(b, api, "RUN", run)
 
 
 def _task_connector(task: Task, datum_id: str) -> Connector:
@@ -387,6 +380,17 @@ def _listen(task: Task) -> Task:
         {"name": task.datum_text("PrimaryNamedChannel").strip()})
     return Task(task.guid, task.type,
                 task.datums + (Datum("ListeningPort", resp.get("port", "0")),))
+
+
+def _unlisten(task: Task) -> None:
+    """DISCONNECT the primary end that _listen CREATEd, if it still can."""
+    primary = _task_connector(task, "PrimaryConnector")
+    try:
+        remote.control_request(
+            primary.host, primary.machine_port, "DISCONNECT",
+            {"name": task.datum_text("PrimaryNamedChannel").strip()})
+    except CingalError:
+        pass
 
 
 def _connect(task: Task) -> TaskResult:
@@ -412,13 +416,9 @@ def _fire_offspring(b: Bundle, api: MachineApi,
     offspring = Bundle(auth=b.auth, code=b.code, data=(
         Datum("ToDoList", todolist_content(ToDoList(tuple(tasks)))),))
     try:
-        handle = api.fire_remote(
+        report = read_report(api.fire_remote(
             b.datum("SecondaryFireAddress").content.strip(),
-            serialize_bundle(offspring))
-        try:
-            report = report_from_bytes(handle.read(timeout=30.0))
-        finally:
-            handle.close()
+            serialize_bundle(offspring)), 30.0)
     except CingalError as exc:
         return {t.guid: _failed(t, exc.code) for t in tasks}
     connected = {r.guid: r for r in report.results}
@@ -432,8 +432,9 @@ def tool_wire(b: Bundle, api: MachineApi) -> TaskReport:
     A task without a ListeningPort datum is wired from here: this wirer
     asks its primary machine to listen, then fires one offspring at the
     secondary node carrying all such tasks, each with its own
-    ListeningPort datum. A task with a ListeningPort datum is connected
-    back to that port: that is the offspring's work.
+    ListeningPort datum, and DISCONNECTs the listening end of every task
+    the offspring did not connect. A task with a ListeningPort datum is
+    connected back to that port: that is the offspring's work.
     """
     results: dict[str, TaskResult] = {}
     listening: list[Task] = []
@@ -449,10 +450,12 @@ def tool_wire(b: Bundle, api: MachineApi) -> TaskReport:
         except CingalError as exc:
             results[task.guid] = _failed(task, exc.code)
     if listening:
-        results.update(_fire_offspring(b, api, listening))
-    report = TaskReport(tuple(results[t.guid] for t in tasks))
-    _send_report(api, report)
-    return report
+        offspring = _fire_offspring(b, api, listening)
+        for task in listening:
+            if not offspring[task.guid].ok:
+                _unlisten(task)
+        results.update(offspring)
+    return _report(api, (results[t.guid] for t in tasks))
 
 
 def entity_bundle(action: str, entity: str, certificate: str = "",
@@ -470,8 +473,6 @@ def entity_bundle(action: str, entity: str, certificate: str = "",
 
 def tool_entity(b: Bundle, api: MachineApi) -> TaskReport:
     """Add or remove a VER entity; the admin counterpart of the deploy tools."""
-    from .security import EntityRecord, parse_rights  # local to avoid cycle noise
-
     action = b.datum("Action").content.strip().upper()
     entity = b.datum("EntityId").content.strip()
     try:
@@ -483,13 +484,11 @@ def tool_entity(b: Bundle, api: MachineApi) -> TaskReport:
             api.ver_remove(entity)
         else:
             raise SchemaViolation(f"unknown action {action!r}")
-        report = TaskReport((TaskResult(action.lower(), STATUS_OK,
-                                        (("EntityId", entity),)),))
+        result = TaskResult(action.lower(), STATUS_OK, (("EntityId", entity),))
     except CingalError as exc:
-        report = TaskReport((TaskResult(action.lower(), STATUS_FAILED,
-                                        (("error", exc.code),)),))
-    _send_report(api, report)
-    return report
+        result = TaskResult(action.lower(), STATUS_FAILED,
+                            (("error", exc.code),))
+    return _report(api, [result])
 
 
 # --- demo components -----------------------------------------------------------

@@ -1,15 +1,19 @@
 """The thin server: a node daemon hosting fire, store, binders and VER.
 
-One daemon per (address, fire port). The fire daemon accepts framed
-requests: a BUNDLE document is authenticated and fired, the connection
-then being the new machine's own default channel; a STATUSREQUEST returns
-a status snapshot. Only the store, the service binder (sbinder) and the
-VER persist under the node's data directory and survive restarts; the
-process binder (pbinder) names live machines and stays in memory.
+One daemon per (address, fire port). The fire daemon parses the first
+frame of each connection once: a STATUSREQUEST returns a status
+snapshot; any other document goes to the gate, ``ThinServer.fire``. A
+refused fire gets an ERROR FIRERESULT from the gate. An accepted fire's
+connection becomes the new machine's own default channel, and the
+machine writes the OK FIRERESULT on it before its behaviour runs. Only
+the store, the service binder (sbinder) and the VER persist under the
+node's data directory and survive restarts; the process binder (pbinder)
+names live machines and stays in memory.
 """
 
 from __future__ import annotations
 
+import base64
 import errno
 import fcntl
 import os
@@ -18,14 +22,14 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import xmlcanon
+from . import remote, xmlcanon
 from .bundle import Bundle, parse_bundle
 from .channels import (
     DEFAULT_CONNECT_TIMEOUT,
     DEFAULT_MAX_FRAME,
     Acceptor,
     SocketEndpoint,
-    recv_frame,
+    recv_frame_within,
     send_frame,
 )
 from .errors import (
@@ -237,13 +241,15 @@ class ThinServer:
 
     # --- firing ---------------------------------------------------------------
 
-    def fire(self, doc: bytes, default: SocketEndpoint | None = None):
-        """Authenticate and execute a bundle document.
+    def fire(self, doc, default: SocketEndpoint | None = None):
+        """Authenticate and execute a bundle document, given as bytes or
+        as its parsed root element.
 
         Gate order: parse, VER lookup, signature check, FIRE:FIRE
         capability. On any failure no machine is created and no node
         state changes. Returns (machine, progenitor default endpoint), or
-        (machine, None) when ``default`` is the machine's fire connection.
+        (machine, None) when ``default`` is the machine's fire connection,
+        on which the machine then writes its OK FIRERESULT.
         """
         b = parse_bundle(doc)
         self._authenticate(b)
@@ -273,41 +279,22 @@ class ThinServer:
 
     def _serve_fire(self, sock: socket.socket) -> bool:
         # an idle connection may not hold this thread past the deadline
-        sock.settimeout(self.connect_timeout)
-        try:
-            frame = recv_frame(sock, self.max_frame)
-        except (OSError, CingalError):
-            return False
+        frame = recv_frame_within(sock, self.max_frame, self.connect_timeout)
         if frame is None:
             return False
-        sock.settimeout(None)
-
-        tag = _peek_root_tag(frame)
-        if tag == "STATUSREQUEST":
-            try:
-                send_frame(sock, self.status_bytes(), self.max_frame)
-            except OSError:
-                pass
-            return False
-
-        # The machine may write or end at once; FIRERESULT goes out first.
-        sent = threading.Event()
         try:
-            machine, _ = self.fire(
-                frame, SocketEndpoint(sock, self.max_frame, sent))
-            resp = element("FIRERESULT", {"status": "OK"},
-                           children=[element("CONNECTOR",
-                                             machine.connector.attrib())])
+            root = xmlcanon.parse_document(frame)
+            if root.tag != "STATUSREQUEST":
+                self.fire(root, SocketEndpoint(sock, self.max_frame))
+                return True  # the socket is the machine's now
+            reply = self.status_bytes()
         except CingalError as exc:
-            machine = None
-            resp = element("FIRERESULT", {"status": "ERROR", "error": exc.code},
-                           text=str(exc))
+            reply = remote.fire_result(error=exc)
         try:
-            send_frame(sock, xmlcanon.canonical_bytes(resp), self.max_frame)
+            send_frame(sock, reply, self.max_frame)
         except OSError:
             pass
-        sent.set()
-        return machine is not None  # the socket is the machine's now
+        return False
 
     # --- status -----------------------------------------------------------------
 
@@ -354,20 +341,10 @@ class ThinServer:
                                  Guid(binding.get("value", "")))
 
 
-def _peek_root_tag(frame: bytes) -> str:
-    try:
-        return xmlcanon.parse_document(frame).tag
-    except CingalError:
-        return ""
-
-
 def write_default(connector, payload: bytes,
                   max_frame: int = DEFAULT_MAX_FRAME) -> None:
     """Inject a message into a machine's default channel via its machine
     channel (WRITE_DEFAULT control op)."""
-    import base64
-
-    from . import remote
     remote.control_request(connector.host, connector.machine_port,
                            "WRITE_DEFAULT",
                            text=base64.b64encode(payload).decode("ascii"),
@@ -377,9 +354,6 @@ def write_default(connector, payload: bytes,
 def read_default(connector, timeout: float = 5.0,
                  max_frame: int = DEFAULT_MAX_FRAME) -> bytes:
     """Pop one message from a machine's outbound default channel."""
-    import base64
-
-    from . import remote
     resp = remote.control_request(connector.host, connector.machine_port,
                                   "READ_DEFAULT",
                                   {"timeout": str(timeout)},

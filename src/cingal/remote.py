@@ -1,9 +1,14 @@
-"""Client side of the two wire protocols.
+"""Client side of the two wire protocols, and the FIRERESULT document.
 
 Firing: open a TCP connection to a node's fire port, send one frame
-holding the bundle document, read one FIRERESULT frame. The connection
-then stays open as the default channel between progenitor and machine:
-the machine reads and writes the same socket, with no relay in the node.
+holding the bundle document, read one FIRERESULT frame. A refused fire
+gets an ERROR FIRERESULT from the node's gate. An accepted one gets an
+OK FIRERESULT from the fired machine itself, written on its own thread
+before its behaviour runs, so it precedes every message of the machine.
+The connection then stays open as the default channel between
+progenitor and machine: the machine reads and writes the same socket,
+with no relay in the node. ``fire_result`` builds both forms and
+``fire`` parses them.
 
 Machine-channel control: one REQUEST frame per exchange against a
 machine's machine port, answered by one RESPONSE frame.
@@ -23,7 +28,8 @@ from .channels import (
     recv_frame,
     send_frame,
 )
-from .errors import ConnectFailed, MalformedDocument, PeerClosed, error_for_code
+from .errors import (CingalError, ConnectFailed, MalformedDocument,
+                     PeerClosed, error_for_code)
 from .xmlcanon import element
 
 
@@ -41,10 +47,23 @@ class FireHandle(SocketEndpoint):
         self.connector = connector
 
 
-def fire(address: str, doc: bytes,
-         max_frame: int = DEFAULT_MAX_FRAME,
-         timeout: float = DEFAULT_CONNECT_TIMEOUT) -> FireHandle:
-    """Submit a bundle document to a node's fire daemon."""
+def fire_result(connector: Connector | None = None,
+                error: CingalError | None = None) -> bytes:
+    """An ERROR FIRERESULT naming ``error``, else an OK one carrying the
+    fired machine's connector."""
+    if error is not None:
+        root = element("FIRERESULT", {"status": "ERROR", "error": error.code},
+                       text=str(error))
+    else:
+        root = element("FIRERESULT", {"status": "OK"},
+                       children=[element("CONNECTOR", connector.attrib())])
+    return xmlcanon.canonical_bytes(root)
+
+
+def _exchange(address: str, doc: bytes, max_frame: int, timeout: float,
+              reply_timeout: float):
+    """Send ``doc`` as the first frame of a new connection and parse the
+    frame that answers it; returns the still open socket and that root."""
     host, port = parse_address(address)
     try:
         sock = socket.create_connection((host, port), timeout=timeout)
@@ -52,41 +71,49 @@ def fire(address: str, doc: bytes,
         raise ConnectFailed(f"{address}: {exc}") from exc
     try:
         send_frame(sock, doc, max_frame)
-        sock.settimeout(30.0)
+        sock.settimeout(reply_timeout)
         frame = recv_frame(sock, max_frame)
+        if frame is None:
+            raise PeerClosed(f"{address} closed without a reply")
+        return sock, xmlcanon.parse_document(frame)
     except OSError as exc:
         close_socket(sock)
         raise ConnectFailed(f"{address}: {exc}") from exc
-    if frame is None:
+    except BaseException:
         close_socket(sock)
-        raise PeerClosed("fire daemon closed without a result")
-    root = xmlcanon.parse_document(frame)
-    if root.tag != "FIRERESULT":
-        close_socket(sock)
-        raise MalformedDocument(f"expected FIRERESULT, got {root.tag}")
+        raise
+
+
+def _raise_unless_ok(root) -> None:
     if root.get("status") != "OK":
+        raise error_for_code(root.get("error", "Error"),
+                             (root.text or "").strip())
+
+
+def fire(address: str, doc: bytes,
+         max_frame: int = DEFAULT_MAX_FRAME,
+         timeout: float = DEFAULT_CONNECT_TIMEOUT) -> FireHandle:
+    """Submit a bundle document to a node's fire daemon."""
+    sock, root = _exchange(address, doc, max_frame, timeout, 30.0)
+    try:
+        if root.tag != "FIRERESULT":
+            raise MalformedDocument(f"expected FIRERESULT, got {root.tag}")
+        _raise_unless_ok(root)
+        return FireHandle(Connector.from_element(root.find("CONNECTOR")),
+                          sock, max_frame)
+    except BaseException:
         close_socket(sock)
-        raise error_for_code(root.get("error", "Error"), (root.text or "").strip())
-    connector = Connector.from_element(root.find("CONNECTOR"))
-    sock.settimeout(None)
-    return FireHandle(connector, sock, max_frame)
+        raise
 
 
 def node_status(address: str, max_frame: int = DEFAULT_MAX_FRAME,
                 timeout: float = DEFAULT_CONNECT_TIMEOUT):
     """Fetch a node's status document; returns the parsed STATUS element."""
-    host, port = parse_address(address)
-    try:
-        with socket.create_connection((host, port), timeout=timeout) as sock:
-            send_frame(sock, xmlcanon.canonical_bytes(element("STATUSREQUEST")),
-                       max_frame)
-            sock.settimeout(timeout)
-            frame = recv_frame(sock, max_frame)
-    except OSError as exc:
-        raise ConnectFailed(f"{address}: {exc}") from exc
-    if frame is None:
-        raise PeerClosed("no status response")
-    return xmlcanon.parse_document(frame)
+    sock, root = _exchange(
+        address, xmlcanon.canonical_bytes(element("STATUSREQUEST")),
+        max_frame, timeout, timeout)
+    close_socket(sock)
+    return root
 
 
 def control_request(host: str, port: int, op: str,
@@ -101,17 +128,10 @@ def control_request(host: str, port: int, op: str,
     """
     attrib = {"op": op}
     attrib.update(attrs or {})
-    doc = xmlcanon.canonical_bytes(element("REQUEST", attrib, text=text))
-    try:
-        with socket.create_connection((host, port), timeout=timeout) as sock:
-            send_frame(sock, doc, max_frame)
-            sock.settimeout(max(timeout, 30.0))
-            frame = recv_frame(sock, max_frame)
-    except OSError as exc:
-        raise ConnectFailed(f"{host}:{port}: {exc}") from exc
-    if frame is None:
-        raise PeerClosed("machine channel closed without a response")
-    root = xmlcanon.parse_document(frame)
-    if root.get("status") != "OK":
-        raise error_for_code(root.get("error", "Error"), (root.text or "").strip())
+    sock, root = _exchange(
+        f"{host}:{port}",
+        xmlcanon.canonical_bytes(element("REQUEST", attrib, text=text)),
+        max_frame, timeout, max(timeout, 30.0))
+    close_socket(sock)
+    _raise_unless_ok(root)
     return root

@@ -16,6 +16,7 @@ from cingal.channels import (
     Connector,
     channel_pair,
     recv_frame,
+    recv_frame_within,
     send_frame,
 )
 from cingal.errors import (
@@ -64,6 +65,25 @@ class TestFraming:
         with pytest.raises(FrameTooLarge):
             recv_frame(b, max_frame=10)
         a.close(), b.close()
+
+    def test_within_deadline(self):
+        a, b = socket_pair()
+        send_frame(a, b"in time")
+        assert recv_frame_within(b, 1024, 1.0) == b"in time"
+        a.close(), b.close()
+
+    def test_within_gives_none_at_deadline_eof_and_oversize(self):
+        a, b = socket_pair()
+        started = time.monotonic()
+        assert recv_frame_within(b, 1024, 0.2) is None  # silent peer
+        assert time.monotonic() - started < 2.0
+        send_frame(a, b"x" * 100)
+        assert recv_frame_within(b, 10, 1.0) is None  # oversize
+        a.close()
+        c, d = socket_pair()
+        c.close()
+        assert recv_frame_within(d, 1024, 1.0) is None  # EOF
+        b.close(), d.close()
 
     def test_preserves_order_and_boundaries(self):
         a, b = socket_pair()

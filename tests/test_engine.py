@@ -491,6 +491,34 @@ class TestWirePerHostPair:
                                    dep.connector.machine_port, "TERMINATE")
 
 
+class TestInstallLoadsEachSourceOnce:
+    def test_lifecycle_loads_two_sources(self, topology, monkeypatch):
+        loaded = []
+        real = Engine.load_bundle_source
+
+        def counted(engine, source):
+            loaded.append(source)
+            return real(engine, source)
+
+        monkeypatch.setattr(Engine, "load_bundle_source", counted)
+        engine = topology.engine()
+        record = engine.deploy(lifecycle_ddd(topology))
+        assert len(record.deployments) == 16
+        assert len(loaded) == 2
+        terminate_all(record)
+
+    def test_missing_source_still_schema_violation(self, topology,
+                                                   tmp_path):
+        ddd = lifecycle_ddd(topology, pairs=2)
+        ddd = replace(ddd, bundles=(
+            ddd.bundles[0], BundleRef("Sink", str(tmp_path / "gone.xml"))))
+        engine = topology.engine()
+        with pytest.raises(SchemaViolation, match="gone.xml"):
+            engine.deploy(ddd)
+        # H0 holds only sources; H1 is the first host with a sink
+        assert engine.progress == ["phase:install node:H0 status:ok"]
+
+
 class TestMoveControlOps:
     def test_move_disconnects_only_the_staying_end(self, topology,
                                                    monkeypatch):

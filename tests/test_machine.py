@@ -468,14 +468,15 @@ class TestBatchedWirer:
         return fired
 
     @staticmethod
-    def wire(node, keypair, wires):
+    def wire(node, keypair, wires, secondary_address=None):
         from cingal.machine import ENTRY_WIRER
         wirer = sign_bundle(Bundle(
             auth=Authentication("", ""),
             code=CodeSection(ENTRY_WIRER, "builtin"),
             data=(Datum("ToDoList", todolist_content(
                       generate_todolist("wire", wires))),
-                  Datum("SecondaryFireAddress", node.address)),
+                  Datum("SecondaryFireAddress",
+                        secondary_address or node.address)),
         ), keypair[0], "tester")
         _, p_wirer = fire_local(node, wirer)
         return report_from_bytes(p_wirer.read())
@@ -514,6 +515,45 @@ class TestBatchedWirer:
         assert offspring_fires == [node.address]
         p_src.write(b"still-wired")
         assert p_dst.read() == b"still-wired"
+
+    @staticmethod
+    def channel_states(m):
+        c = m.connector
+        status = remote.control_request(c.host, c.machine_port, "STATUS")
+        return {e.get("name"): e.get("state")
+                for e in status.findall("CHANNEL")}
+
+    def test_failed_task_frees_its_listening_end(self, node, keypair, pair):
+        m_src, p_src, m_dst, p_dst = pair
+        probe = socket.create_server(("127.0.0.1", 0))
+        closed = probe.getsockname()[1]
+        probe.close()
+        bad, = self.wire(node, keypair, [
+            (m_src.connector, Connector("127.0.0.1", closed, closed),
+             "Down", "Nowhere")]).results
+        assert bad.status == STATUS_FAILED
+        assert self.channel_states(m_src)["Down"] == "UNBOUND"
+        # the same primary end wires again, now to a live secondary
+        again, = self.wire(node, keypair, [
+            (m_src.connector, m_dst.connector, "Down", "Up")]).results
+        assert again.status == STATUS_OK, again
+        p_src.write(b"rewired")
+        assert p_dst.read() == b"rewired"
+
+    def test_failed_offspring_fire_frees_every_listening_end(
+            self, node, keypair, pair):
+        m_src, p_src, m_dst, p_dst = pair
+        probe = socket.create_server(("127.0.0.1", 0))
+        nowhere = f"127.0.0.1:{probe.getsockname()[1]}"
+        probe.close()
+        report = self.wire(node, keypair, [
+            (m_src.connector, m_dst.connector, "Down", "Up"),
+            (m_dst.connector, m_src.connector, "Back", "Return")],
+            secondary_address=nowhere)
+        assert [r.info_value("error") for r in report.results] == [
+            "ConnectFailed", "ConnectFailed"]
+        assert self.channel_states(m_src)["Down"] == "UNBOUND"
+        assert self.channel_states(m_dst)["Back"] == "UNBOUND"
 
 
 class TestCapabilityConfinement:

@@ -7,6 +7,7 @@ import pytest
 
 from cingal import remote, security, xmlcanon
 from cingal.bundle import serialize_bundle
+from cingal.channels import Connector
 from cingal.errors import (
     BadSignature,
     CapabilityDenied,
@@ -296,6 +297,78 @@ class TestFireConnection:
                     handle.read(timeout=5.0)
             finally:
                 handle.close()
+
+
+class TestOneParsePerFire:
+    """The fire daemon parses a fire frame once, and the fired machine
+    writes its own OK FIRERESULT before its behaviour runs."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """Calls of xmlcanon.parse_document, by the document they parse."""
+        seen = []
+        real = xmlcanon.parse_document
+
+        def counted(doc):
+            seen.append(doc)
+            return real(doc)
+
+        monkeypatch.setattr(xmlcanon, "parse_document", counted)
+        return seen
+
+    def test_accepted_fire_parses_its_frame_once(self, node, keypair,
+                                                  parses):
+        doc = serialize_bundle(make_signed(keypair[0], "tester"))
+        handle = remote.fire(node.address, doc)
+        handle.close()
+        assert parses.count(doc) == 1
+
+    def test_forged_fire_parses_its_frame_once(self, node, second_keypair,
+                                               parses):
+        doc = serialize_bundle(make_signed(second_keypair[0], "tester"))
+        with pytest.raises(BadSignature):
+            remote.fire(node.address, doc)
+        assert parses.count(doc) == 1
+
+    def test_fireresult_precedes_a_write_and_an_end(self, node, keypair):
+        node.executors.register("test.Once",
+                                lambda b, api: api.default.write(b"once"))
+        doc = serialize_bundle(make_signed(keypair[0], "tester",
+                                           entry="test.Once"))
+        for _ in range(200):
+            handle = remote.fire(node.address, doc)  # reads FIRERESULT
+            try:
+                assert handle.read(timeout=5.0) == b"once"
+                with pytest.raises(PeerClosed, match="closed"):
+                    handle.read(timeout=5.0)
+            finally:
+                handle.close()
+
+    def test_garbage_fire_is_malformed(self, node):
+        before = threading.active_count()
+        with pytest.raises(MalformedDocument):
+            remote.fire(node.address, b"garbage")
+        assert node.machines() == []
+        assert threads_back_to(before)
+
+
+class TestFireResult:
+    """FIRERESULT bytes are pinned: clients parse them."""
+
+    def test_ok(self):
+        connector = Connector("127.0.0.1", 40001, 40002)
+        assert remote.fire_result(connector) == (
+            b'<FIRERESULT status="OK"><CONNECTOR host="127.0.0.1" '
+            b'machinePort="40001" resourcePort="40002"/></FIRERESULT>')
+
+    def test_error(self):
+        assert remote.fire_result(error=BadSignature(
+            "signature of tester does not verify")) == (
+            b'<FIRERESULT status="ERROR" error="BadSignature">'
+            b'signature of tester does not verify</FIRERESULT>')
+        assert remote.fire_result(error=BadSignature('a <b> & "c"')) == (
+            b'<FIRERESULT status="ERROR" error="BadSignature">'
+            b'a &lt;b&gt; &amp; "c"</FIRERESULT>')
 
 
 class TestPersistence:
