@@ -13,14 +13,22 @@ Teardown: every socket is closed through ``close_socket``, so
 name whose peer dropped the link goes to UNBOUND, and one DISCONNECT on
 that name still answers OK, so a third party can unwire both ends in any
 order; a name never wired, or already disconnected, raises NameNotBound.
+
+Listening: every listening socket of the process (fire, machine, resource
+and LISTENING channel ports) is in one selector, served by one accept
+thread that only accepts and hands each connection on. The thread starts
+with the first listener and ends when ``unlisten`` removes the last one.
 """
 
 from __future__ import annotations
 
+import functools
 import queue
+import selectors
 import socket
 import struct
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass
 
@@ -46,9 +54,15 @@ def send_frame(sock: socket.socket, payload: bytes,
     sock.sendall(struct.pack("!I", len(payload)) + payload)
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
+def _recv_exact(sock: socket.socket, n: int,
+                deadline: float | None = None) -> bytes | None:
     buf = bytearray()
     while len(buf) < n:
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("frame deadline passed")
+            sock.settimeout(left)
         chunk = sock.recv(n - len(buf))
         if not chunk:
             return None
@@ -56,10 +70,11 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
     return bytes(buf)
 
 
-def recv_frame(sock: socket.socket,
-               max_frame: int = DEFAULT_MAX_FRAME) -> bytes | None:
-    """Next frame, or None on clean EOF."""
-    header = _recv_exact(sock, 4)
+def recv_frame(sock: socket.socket, max_frame: int = DEFAULT_MAX_FRAME,
+               deadline: float | None = None) -> bytes | None:
+    """Next frame, or None on clean EOF; TimeoutError once the
+    ``time.monotonic()`` ``deadline``, if given, passes."""
+    header = _recv_exact(sock, 4, deadline)
     if header is None:
         return None
     (length,) = struct.unpack("!I", header)
@@ -67,18 +82,17 @@ def recv_frame(sock: socket.socket,
         raise FrameTooLarge(f"{length} > {max_frame}")
     if length == 0:
         return b""
-    return _recv_exact(sock, length)
+    return _recv_exact(sock, length, deadline)
 
 
 def recv_frame_within(sock: socket.socket, max_frame: int,
                       timeout: float) -> bytes | None:
     """Next frame from an untrusted peer, or None at EOF, on a socket
-    error, on an oversize frame or when the peer stays silent for
-    ``timeout`` seconds. The socket keeps that timeout."""
+    error, on an oversize frame or when the whole frame has not arrived
+    within ``timeout`` seconds, however the peer paces its bytes."""
     try:
-        sock.settimeout(timeout)
-        return recv_frame(sock, max_frame)
-    except (OSError, FrameTooLarge):  # socket.timeout included
+        return recv_frame(sock, max_frame, time.monotonic() + timeout)
+    except (OSError, FrameTooLarge):  # TimeoutError included
         return None
 
 
@@ -102,8 +116,67 @@ def close_socket(sock: socket.socket | None) -> None:
         pass
 
 
+# the accept loop's selector and the write end of its wake socket pair
+_accept_lock = threading.Lock()
+_accepting: tuple[selectors.BaseSelector, socket.socket] | None = None
+
+
+def listen(host: str, port: int, on_accept, backlog: int = 64
+           ) -> socket.socket:
+    """A socket listening on (host, port), served by the accept loop:
+    ``on_accept(listener, sock)`` runs on the loop's thread for each new
+    connection, so it must hand the socket on without blocking."""
+    global _accepting
+    listener = socket.create_server((host, port), backlog=backlog)
+    listener.setblocking(False)
+    with _accept_lock:
+        if _accepting is None:
+            selector, (wake_r, wake_w) = (selectors.DefaultSelector(),
+                                          socket.socketpair())
+            selector.register(wake_r, selectors.EVENT_READ)
+            _accepting = selector, wake_w
+            threading.Thread(target=_accept_loop, args=(selector, wake_r),
+                             daemon=True).start()
+        _accepting[0].register(listener, selectors.EVENT_READ, on_accept)
+    return listener
+
+
+def unlisten(listener: socket.socket) -> None:
+    """Take a listener off the accept loop and close it; call once."""
+    global _accepting
+    with _accept_lock:
+        selector, wake_w = _accepting
+        selector.unregister(listener)
+        if len(selector.get_map()) == 1:  # only the wake socket is left
+            close_socket(wake_w)
+            _accepting = None
+    close_socket(listener)
+
+
+def _accept_loop(selector: selectors.BaseSelector,
+                 wake_r: socket.socket) -> None:
+    try:
+        while True:
+            for key, _ in selector.select():
+                if key.fileobj is wake_r:
+                    return  # the last listener is gone
+                try:
+                    sock, _ = key.fileobj.accept()
+                except OSError:
+                    continue  # nothing pending, or the listener closed
+                try:
+                    key.data(key.fileobj, sock)
+                except (OSError, RuntimeError):  # e.g. no thread to serve it
+                    close_socket(sock)
+    finally:
+        selector.close()
+        close_socket(wake_r)
+
+
 class Acceptor:
-    """Listens on (host, port) and serves each connection on its own thread.
+    """Listens on (host, port) and serves each connection on its own
+    thread. It starts no accept thread: the process's one accept thread
+    runs while any listener is open and ends with the last one.
 
     ``handler(sock)`` returns True when it has handed the socket on (to a
     named channel); otherwise the socket is closed when it returns.
@@ -111,26 +184,20 @@ class Acceptor:
     """
 
     def __init__(self, host: str, port: int, handler):
-        self._listener = socket.create_server((host, port), backlog=64)
-        self.port = self._listener.getsockname()[1]
         self._handler = handler
         self._serving: set[socket.socket] | None = set()  # None once closed
         self._lock = threading.Lock()
-        threading.Thread(target=self._accept_loop, daemon=True).start()
+        self._listener = listen(host, port, self._accepted)
+        self.port = self._listener.getsockname()[1]
 
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            with self._lock:
-                if self._serving is None:
-                    close_socket(sock)
-                    return
-                self._serving.add(sock)
-            threading.Thread(target=self._serve, args=(sock,),
-                             daemon=True).start()
+    def _accepted(self, listener: socket.socket, sock: socket.socket) -> None:
+        with self._lock:
+            if self._serving is None:
+                close_socket(sock)
+                return
+            self._serving.add(sock)
+        threading.Thread(target=self._serve, args=(sock,),
+                         daemon=True).start()
 
     def _serve(self, sock: socket.socket) -> None:
         kept = False
@@ -145,8 +212,10 @@ class Acceptor:
 
     def close(self) -> None:
         with self._lock:
-            serving, self._serving = self._serving or (), None
-        close_socket(self._listener)
+            if self._serving is None:
+                return
+            serving, self._serving = self._serving, None
+        unlisten(self._listener)
         for sock in serving:
             close_socket(sock)
 
@@ -366,26 +435,17 @@ class ConnectionManager:
         with self._lock:
             if ch.state != UNBOUND:
                 raise NameAlreadyBound(f"{name} is {ch.state}")
-            listener = socket.create_server((self.host, 0), backlog=1)
-            port = listener.getsockname()[1]
-            ch.listener = listener
+            ch.listener = listen(self.host, 0, functools.partial(
+                self._accepted, ch), backlog=1)
             ch.state = LISTENING
-        threading.Thread(target=self._accept_one, args=(ch, listener),
-                         daemon=True).start()
-        return port
+            return ch.listener.getsockname()[1]
 
-    def _accept_one(self, ch: _NamedChannel, listener: socket.socket) -> None:
-        try:
-            sock, _ = listener.accept()
-        except OSError:
-            return  # listener closed by disconnect/shutdown
+    def _accepted(self, ch: _NamedChannel, listener: socket.socket,
+                  sock: socket.socket) -> None:
         with self._lock:
-            if ch.listener is not listener:
-                close_socket(sock)
-                return
-            close_socket(listener)
-            ch.listener = None
-            self._attach(ch, sock)
+            if (ch.listener is not listener
+                    or not self.attach_inbound(ch.name, sock)):
+                close_socket(sock)  # disconnected or attached meanwhile
 
     def connect(self, name: str, host: str, port: int) -> None:
         """Actively connect ``name`` to a peer's waiting listener."""
@@ -420,7 +480,7 @@ class ConnectionManager:
             ch = self._channels.get(name)
             if ch is None or ch.state != LISTENING:
                 return False
-            close_socket(ch.listener)
+            unlisten(ch.listener)
             ch.listener = None
             self._attach(ch, sock)
             return True
@@ -448,7 +508,8 @@ class ConnectionManager:
             ch.state, ch.dropped = UNBOUND, False
             sock, ch.sock = ch.sock, None
             listener, ch.listener = ch.listener, None
-        close_socket(listener)
+        if listener is not None:
+            unlisten(listener)
         close_socket(sock)
 
     def shutdown(self) -> None:

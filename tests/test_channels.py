@@ -1,4 +1,5 @@
 import socket
+import struct
 import threading
 import time
 
@@ -84,6 +85,28 @@ class TestFraming:
         c.close()
         assert recv_frame_within(d, 1024, 1.0) is None  # EOF
         b.close(), d.close()
+
+    def test_within_bounds_a_dribbling_peer(self):
+        a, b = socket_pair()
+        stop = threading.Event()
+
+        def dribble():  # one byte of a 1000-byte frame every 0.1 s
+            try:
+                for byte in struct.pack("!I", 1000) + b"x" * 1000:
+                    if stop.wait(0.1):
+                        return
+                    a.send(bytes([byte]))
+            except OSError:
+                pass  # closed by the test
+
+        threading.Thread(target=dribble, daemon=True).start()
+        try:
+            started = time.monotonic()
+            assert recv_frame_within(b, 2048, 0.5) is None
+            assert time.monotonic() - started < 0.5 + 0.5
+        finally:
+            stop.set()
+            a.close(), b.close()
 
     def test_preserves_order_and_boundaries(self):
         a, b = socket_pair()
@@ -402,6 +425,85 @@ class TestConnectionManager:
             assert not a.attach_inbound("nobody-listening", s1)
         finally:
             s1.close(), s2.close()
+
+
+def refused(port):
+    """True when nothing listens on (127.0.0.1, port) any more."""
+    try:
+        socket.create_connection(("127.0.0.1", port), timeout=5).close()
+    except ConnectionRefusedError:
+        return True
+    return False
+
+
+def connect_in_flight(port):
+    """Start a connect to ``port`` without waiting for it to complete."""
+    sock = socket.socket()
+    sock.setblocking(False)
+    sock.connect_ex(("127.0.0.1", port))
+    return sock
+
+
+class TestAcceptLoop:
+    """Every listener of the process shares one accept thread, which
+    exists only while some listener is registered."""
+
+    def test_listening_names_share_one_thread(self):
+        before = threading.active_count()
+        m = ConnectionManager()
+        ports = [m.create(f"n{i}") for i in range(10)]
+        assert threading.active_count() <= before + 1
+        m.shutdown()
+        assert all(refused(port) for port in ports)
+        assert threads_back_to(before), "accept thread outlived its listeners"
+
+    def test_disconnect_races_inbound_connect(self, managers):
+        a, _ = managers
+        before = threading.active_count()
+        clients = []
+        try:
+            for i in range(200):
+                port = a.create(f"n{i}")
+                clients.append(connect_in_flight(port))
+                a.disconnect(f"n{i}")
+                assert a.state(f"n{i}") == UNBOUND
+                assert refused(port)
+        finally:
+            for sock in clients:
+                sock.close()
+        assert threads_back_to(before), "a listener or pump stayed"
+
+    def test_concurrent_create_and_disconnect(self, managers):
+        a, _ = managers
+        before = threading.active_count()
+        ports, errors, clients = [], [], []
+
+        def churn(t):
+            try:
+                for i in range(50):
+                    port = a.create(f"t{t}-{i}")
+                    ports.append(port)
+                    if i % 2:
+                        clients.append(connect_in_flight(port))
+                    a.disconnect(f"t{t}-{i}")
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        workers = [threading.Thread(target=churn, args=(t,))
+                   for t in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+        try:
+            assert errors == []
+            assert len(ports) == 400
+            assert set(a.states().values()) == {UNBOUND}
+            assert all(refused(port) for port in set(ports))
+        finally:
+            for sock in clients:
+                sock.close()
+        assert threads_back_to(before), "a listener or pump stayed"
 
 
 _transitions = st.lists(st.sampled_from(["create", "disconnect"]),

@@ -1,4 +1,9 @@
+import os
 import socket
+import struct
+import subprocess
+import sys
+import textwrap
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -201,6 +206,33 @@ class TestFireDaemon:
         finally:
             server.stop()
 
+    def test_dribbling_client_released_at_deadline(self, tmp_path, keypair):
+        server = ThinServer.start(config_for(tmp_path, keypair,
+                                             connect_timeout=0.5))
+        stop = threading.Event()
+
+        def dribble(sock):  # one byte of a 1000-byte frame every 0.1 s
+            try:
+                for byte in struct.pack("!I", 1000) + b"x" * 1000:
+                    if stop.wait(0.1):
+                        return
+                    sock.send(bytes([byte]))
+            except OSError:
+                pass  # the node closed the connection
+
+        before = threading.active_count()
+        try:
+            with socket.create_connection(("127.0.0.1",
+                                           server.fire_port)) as sock:
+                threading.Thread(target=dribble, args=(sock,),
+                                 daemon=True).start()
+                # only the dribbler is left once the node gives up
+                assert threads_back_to(before + 1, timeout=2.0), \
+                    "the node still serves the dribbling client"
+        finally:
+            stop.set()
+            server.stop()
+
     def test_stop_closes_live_fire_connection(self, tmp_path, keypair):
         before = threading.active_count()
         server = ThinServer.start(config_for(tmp_path, keypair))
@@ -297,6 +329,66 @@ class TestFireConnection:
                     handle.read(timeout=5.0)
             finally:
                 handle.close()
+
+
+class TestThreadsPerMachine:
+    """A fired machine starts its executor and no accept thread: every
+    listener of the process is served by one accept thread."""
+
+    def test_idle_fired_machine_adds_only_its_executor(self, node, keypair):
+        before = threading.active_count()
+        handle = remote.fire(node.address, serialize_bundle(
+            make_signed(keypair[0], "tester")))  # demo.Echo
+        try:
+            # the fire port's thread ends once the machine has the socket
+            assert wait_for(lambda: threading.active_count() <= before + 1), \
+                f"{threading.active_count() - before} threads added"
+            handle.write(b"ping")  # the one thread left is the executor
+            assert handle.read(timeout=5.0) == b"ping"
+            assert len(node.machines()) == 1
+        finally:
+            handle.close()
+        assert threads_back_to(before)
+
+    def test_process_threads_with_one_node(self):
+        script = textwrap.dedent("""
+            import tempfile, threading, time
+            from cingal import remote
+            from cingal.bundle import (Authentication, Bundle, CodeSection,
+                                       serialize_bundle)
+            from cingal.node import NodeConfig, ThinServer
+            from cingal.security import (EntityRecord, generate_keypair,
+                                         parse_rights, sign_bundle)
+
+            def settle(n):
+                deadline = time.monotonic() + 5
+                while (threading.active_count() > n
+                       and time.monotonic() < deadline):
+                    time.sleep(0.02)
+                return threading.active_count()
+
+            key, cert = generate_keypair()
+            echo = sign_bundle(Bundle(
+                Authentication("", ""),
+                CodeSection("demo.Echo", "builtin", (("unit", "Y29kZQ=="),)),
+                ()), key, "tester")
+            with tempfile.TemporaryDirectory() as data_dir:
+                node = ThinServer.start(NodeConfig(data_dir=data_dir,
+                                                   fire_port=0))
+                node.ver.add(EntityRecord("tester", cert,
+                                          parse_rights("FIRE:FIRE")))
+                handle = remote.fire(node.address, serialize_bundle(echo))
+                running = settle(3)  # main, accept loop, Echo executor
+                node.stop()
+                handle.close()
+                print(running, settle(1))
+        """)
+        src = Path(remote.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["3", "1"]
 
 
 class TestOneParsePerFire:
